@@ -6,6 +6,11 @@ contains another, and whenever every one-edge refinement of a pair is
 present the family is coarsened back to the parent.  Basic sets of a fixed
 degree are disjoint or nested, so membership of a candidate set in a union
 is decidable by refining to the family's depth.
+
+The basic sets strictly containing (alpha, beta) are exactly its
+common-suffix truncations, got by dropping a common last edge of alpha and
+beta again and again.  Containment is therefore found by looking those few
+sets up, never by testing the family against itself pair by pair.
 """
 
 from __future__ import annotations
@@ -22,7 +27,7 @@ from .ckalg import (
 from .cocycle import LocallyConstantFn, TailedPair, eval_cocycle_tailed
 from .errors import BadInputError
 from .graph import underlying
-from .paths import FinPath, continuations, path_range
+from .paths import FinPath, continuations, empty_path, path_range
 
 Cylinder = CKMono  # a basic set is indexed by the same (alpha, beta) data
 
@@ -41,9 +46,16 @@ def _drop_last(g, p: FinPath) -> FinPath:
     rest = p.edges[:-1]
     if rest:
         return FinPath(rest)
-    from .paths import empty_path
-
     return empty_path(path_range(g, p))
+
+
+def _ancestors(g, c: CKMono):
+    """The basic sets strictly containing that of c, smallest first: the
+    truncations of c by a common suffix of alpha and beta."""
+    alpha, beta = c.alpha, c.beta
+    while alpha.edges and beta.edges and alpha.edges[-1] == beta.edges[-1]:
+        alpha, beta = _drop_last(g, alpha), _drop_last(g, beta)
+        yield CKMono(alpha, beta)
 
 
 class SpectrumSet:
@@ -65,23 +77,15 @@ class SpectrumSet:
         changed = True
         while changed:
             changed = False
-            drop = {
-                c
-                for c in work
-                for d in work
-                if c != d and cyl_contains(g, c, d)
-            }
+            drop = {c for c in work if any(a in work for a in _ancestors(g, c))}
             if drop:
                 work -= drop
                 changed = True
             parents = {}
             for c in work:
-                if c.alpha.is_empty or c.beta.is_empty:
-                    continue
-                if c.alpha.edges[-1] != c.beta.edges[-1]:
-                    continue
-                parent = CKMono(_drop_last(g, c.alpha), _drop_last(g, c.beta))
-                parents.setdefault(parent, set()).add(c.alpha.edges[-1])
+                parent = next(_ancestors(g, c), None)
+                if parent is not None:
+                    parents.setdefault(parent, set()).add(c.alpha.edges[-1])
             for parent, have in parents.items():
                 need = {e.id for e in g.in_edges(mono_source(g, parent))}
                 if need and have >= need:
@@ -119,15 +123,16 @@ def member(g, m: CKMono, spectrum: SpectrumSet) -> bool:
 
     Refines m to the maximal beta-depth among same-degree members; each
     refined piece must then sit inside a single member, because basic sets
-    of one degree are disjoint or nested.
+    of one degree are disjoint or nested: the piece itself or one of its
+    ancestors.
     """
     g = underlying(g)
-    peers = [c for c in spectrum.cylinders if c.degree == m.degree]
+    peers = {c for c in spectrum.cylinders if c.degree == m.degree}
     if not peers:
         return False
     depth = max(len(m.beta), max(len(c.beta) for c in peers))
     for piece in _refine_to(g, m, depth):
-        if not any(cyl_contains(g, piece, c) for c in peers):
+        if piece not in peers and not any(a in peers for a in _ancestors(g, piece)):
             return False
     return True
 

@@ -10,6 +10,12 @@ occurring.  Distinct monomials at one level then have disjoint basic sets,
 so evaluation against groupoid points is a plain coefficient sum and the
 zero element is detected exactly.
 
+A product of monomials is nonzero only when the left beta and the right
+alpha are prefix-comparable, so the product looks up just those pairs:
+each path is keyed by (range, edges), with an empty path at v a prefix of
+every path of range v, and the right factor's terms are indexed by the key
+of alpha and by every proper prefix of it.
+
 Element equality is semantic: a == b iff a - b normalizes to zero.
 """
 
@@ -93,6 +99,12 @@ def path_tail_of(g, whole: FinPath, prefix: FinPath):
     return FinPath(rest)
 
 
+def _path_key(g, p: FinPath):
+    """(range, edges): p is a prefix of q, in the sense of path_tail_of,
+    exactly when p's key is a prefix of q's key."""
+    return path_range(g, p), p.edges
+
+
 def join_paths(left: FinPath, tail: FinPath) -> FinPath:
     if tail.is_empty:
         return left
@@ -132,14 +144,20 @@ def _refine_to(g, m: CKMono, beta_len):
     return out
 
 
+def _accumulate(acc, mono, c):
+    # A first occurrence is stored as is: scalars are immutable, so sharing
+    # c is safe and saves building ZERO + c.
+    old = acc.get(mono)
+    acc[mono] = c if old is None else old + c
+
+
 def _normal_terms(g, pairs, beta_depth=None):
     by_degree = {}
     for mono, coeff in pairs:
         c = as_gaussian(coeff)
         if c.is_zero():
             continue
-        bucket = by_degree.setdefault(mono.degree, {})
-        bucket[mono] = bucket.get(mono, ZERO) + c
+        _accumulate(by_degree.setdefault(mono.degree, {}), mono, c)
     out = {}
     for bucket in by_degree.values():
         live = {m: c for m, c in bucket.items() if not c.is_zero()}
@@ -151,7 +169,7 @@ def _normal_terms(g, pairs, beta_depth=None):
         level = {}
         for mono, c in live.items():
             for child in _refine_to(g, mono, target):
-                level[child] = level.get(child, ZERO) + c
+                _accumulate(level, child, c)
         for mono, c in level.items():
             if not c.is_zero():
                 out[mono] = c
@@ -202,13 +220,24 @@ class AlgElement:
     def __mul__(self, other):
         if isinstance(other, AlgElement):
             _same_graph(self, other)
+            g = self.graph
+            exact, extending = {}, {}
+            for m2, c2 in other.terms.items():
+                v, edges = _path_key(g, m2.alpha)
+                exact.setdefault((v, edges), []).append((m2, c2))
+                for i in range(len(edges)):
+                    extending.setdefault((v, edges[:i]), []).append((m2, c2))
             pairs = []
             for m1, c1 in self.terms.items():
-                for m2, c2 in other.terms.items():
-                    p = mono_product(self.graph, m1, m2)
+                v, edges = key = _path_key(g, m1.beta)
+                candidates = list(extending.get(key, ()))
+                for i in range(len(edges) + 1):
+                    candidates.extend(exact.get((v, edges[:i]), ()))
+                for m2, c2 in candidates:
+                    p = mono_product(g, m1, m2)
                     if p is not None:
                         pairs.append((p, c1 * c2))
-            return AlgElement(self.graph, pairs)
+            return AlgElement(g, pairs)
         return self.scale(other)
 
     def __rmul__(self, scalar):
@@ -312,20 +341,8 @@ def normalize(a: AlgElement, beta_depth=None) -> AlgElement:
     return AlgElement(a.graph, list(a.terms.items()), beta_depth)
 
 
-def add(a, b):
-    return a + b
-
-
-def scalar_mul(scalar, a):
-    return a.scale(scalar)
-
-
 def adjoint(a):
     return a.adjoint()
-
-
-def mul(a, b):
-    return a * b
 
 
 def phi_m(a: AlgElement, m) -> AlgElement:
@@ -359,10 +376,6 @@ def evaluate(a: AlgElement, point: GroupoidPoint) -> GaussianRational:
         if point_in_Z(a.graph, point, mono.alpha, mono.beta):
             total = total + c
     return total
-
-
-def support_monos(a: AlgElement):
-    return a.monomials()
 
 
 def support_spectrum(a: AlgElement):

@@ -460,27 +460,37 @@ def build_parser():
     return ap
 
 
+def _error_obj(exc: CkError):
+    return {"ok": False, "error": {"code": exc.code, "message": exc.message}}
+
+
 def _emit(obj, json_out):
+    """Write obj to json_out, if given, then print it.
+
+    When the write fails, only a bad_input error is printed, so stdout still
+    holds exactly one JSON object.  Returns whether the write succeeded.
+    """
     text = json.dumps(obj, sort_keys=True)
-    print(text)
     if json_out:
-        with open(json_out, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
+        try:
+            with open(json_out, "w", encoding="utf-8") as fh:
+                fh.write(text + "\n")
+        except OSError as exc:
+            err = BadInputError("cannot write %s: %s" % (json_out, exc))
+            print(json.dumps(_error_obj(err), sort_keys=True))
+            return False
+    print(text)
+    return True
 
 
 def main(argv=None):
     ap = build_parser()
     args = ap.parse_args(argv)
     try:
-        out = args.func(args)
+        out, status = args.func(args), 0
     except CkError as exc:
-        _emit(
-            {"ok": False, "error": {"code": exc.code, "message": exc.message}},
-            getattr(args, "json_out", None),
-        )
-        return 1
-    _emit(out, args.json_out)
-    return 0
+        out, status = _error_obj(exc), 1
+    return status if _emit(out, getattr(args, "json_out", None)) else 1
 
 
 if __name__ == "__main__":

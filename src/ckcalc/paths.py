@@ -409,25 +409,6 @@ def evpath_from_json_obj(obj) -> EvPath:
     return EvPath(tuple(obj.get("prefix", ())), tuple(obj["cycle"]))
 
 
-def point_to_json_obj(p: GroupoidPoint):
-    return {
-        "x": evpath_to_json_obj(p.x),
-        "k": p.k,
-        "y": evpath_to_json_obj(p.y),
-    }
-
-
-def point_from_json_obj(obj) -> GroupoidPoint:
-    try:
-        return GroupoidPoint(
-            evpath_from_json_obj(obj["x"]),
-            int(obj["k"]),
-            evpath_from_json_obj(obj["y"]),
-        )
-    except (KeyError, TypeError, ValueError) as exc:
-        raise BadInputError("point JSON needs x, k, y") from exc
-
-
 def parse_edge_word(text) -> tuple:
     """Parse a comma-separated edge id list; empty string means no edges."""
     text = text.strip()

@@ -27,6 +27,7 @@ from ckcalc.paths import (
     continuations,
     empty_path,
     fpath,
+    path_range,
     path_source,
     point_in_Z,
     prepend,
@@ -198,3 +199,65 @@ def test_spectrum_json_round_trip(o2):
         assert back == s
     with pytest.raises(BadInputError):
         spectrum_from_json_obj(o2, {"alpha": []})
+
+
+def _drop_last(g, p):
+    if len(p) > 1:
+        return fpath(*p.edges[:-1])
+    return empty_path(path_range(g, p))
+
+
+def _from_cylinders_all_pairs(g, cylinders):
+    """Reference coarsening: the fixpoint with an all-pairs containment scan."""
+    work = set(cylinders)
+    changed = True
+    while changed:
+        changed = False
+        drop = {c for c in work for d in work if c != d and cyl_contains(g, c, d)}
+        if drop:
+            work -= drop
+            changed = True
+        parents = {}
+        for c in work:
+            if c.alpha.is_empty or c.beta.is_empty:
+                continue
+            if c.alpha.edges[-1] != c.beta.edges[-1]:
+                continue
+            parent = cyl(_drop_last(g, c.alpha), _drop_last(g, c.beta))
+            parents.setdefault(parent, set()).add(c.alpha.edges[-1])
+        for parent, have in parents.items():
+            need = {e.id for e in g.in_edges(mono_source(g, parent))}
+            if need and have >= need:
+                for child in refine_children(g, parent):
+                    work.discard(child)
+                work.add(parent)
+                changed = True
+    return work
+
+
+def _member_all_pairs(g, m, spectrum):
+    """Reference membership: every refined piece inside some same-degree member."""
+    peers = [c for c in spectrum.cylinders if c.degree == m.degree]
+    if not peers:
+        return False
+    depth = max(len(m.beta), max(len(c.beta) for c in peers))
+    pieces = [m]
+    while pieces and len(pieces[0].beta) < depth:
+        pieces = [child for p in pieces for child in refine_children(g, p)]
+    return all(any(cyl_contains(g, p, c) for c in peers) for p in pieces)
+
+
+def test_coarsening_and_membership_match_all_pairs_reference(o2, e2):
+    rng = make_rng(41)
+    for g in (underlying(o2), underlying(e2)):
+        pool = all_monos(g, 2)
+        empties = [m for m in pool if m.alpha.is_empty or m.beta.is_empty]
+        probes = all_monos(g, 3)
+        for _ in range(40):
+            family = rng.sample(pool, rng.randint(1, 12)) + rng.sample(empties, 2)
+            for m in rng.sample(family, 3):
+                family += refine_children(g, m)
+            spectrum = SpectrumSet.from_cylinders(g, family)
+            assert spectrum.cylinders == frozenset(_from_cylinders_all_pairs(g, family))
+            for m in rng.sample(probes, 40) + family:
+                assert member(g, m, spectrum) == _member_all_pairs(g, m, spectrum)

@@ -298,3 +298,32 @@ def test_eval_respects_normal_form(o2):
         direct = evaluate(a, point)
         renorm = evaluate(normalize(a, beta_depth=4), point)
         assert direct == renorm
+
+
+def _all_pairs_product(x, y):
+    """Reference product: mono_product folded over every pair of terms."""
+    pairs = []
+    for m1, c1 in x.terms.items():
+        for m2, c2 in y.terms.items():
+            p = mono_product(x.graph, m1, m2)
+            if p is not None:
+                pairs.append((p, c1 * c2))
+    return AlgElement(x.graph, pairs)
+
+
+@pytest.mark.parametrize("name", ["o2", "e2", "loop3e", "c2"])
+def test_product_matches_all_pairs_reference(request, name):
+    g = underlying(request.getfixturevalue(name))
+    rng = make_rng(31)
+    operands = [rand_element(g, rng, n_terms=6, max_len=3) for _ in range(6)]
+    operands += [vertex_projection(g, v) for v in g.vertices]
+    for e in g.edges:
+        operands += [s(g, e.id), s(g, e.id).adjoint()]
+    for _ in range(3):
+        mixed = rng.sample(operands, 3)
+        operands.append(mixed[0] + mixed[1].scale(2) + mixed[2])
+    for x in operands:
+        for y in operands:
+            got, want = x * y, _all_pairs_product(x, y)
+            assert got == want
+            assert element_to_json_obj(got) == element_to_json_obj(want)

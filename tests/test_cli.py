@@ -325,6 +325,17 @@ def test_json_out_writes_same_line(ws, capsys):
         assert json.loads(fh.read()) == out
 
 
+@pytest.mark.parametrize("command", [["masa-check"], ["mul", "--left", "x", "--right", "x"]])
+def test_unwritable_json_out_is_domain_error(ws, capsys, command):
+    # The second command fails on its input too; the write error wins.
+    target = str(ws["dir"] / "no_such_dir" / "out.json")
+    argv = command[:1] + ["--graph", ws["o2"]] + command[1:] + ["--json-out", target]
+    code, out = run(capsys, argv)
+    assert code == 1
+    assert out["ok"] is False and out["error"]["code"] == "bad_input"
+    assert "no_such_dir" in out["error"]["message"]
+
+
 def test_deterministic_output(ws, capsys):
     argv = ["spectrum", "--graph", ws["o2"], "--element", ws["sa"]]
     main(argv)
