@@ -31,7 +31,7 @@ from .errors import (
     UnsupportedNormError,
     UnsupportedRootError,
 )
-from .graph import every_loop_has_entrance, underlying
+from .graph import every_loop_has_entrance, strings_from_json_obj, underlying
 from .paths import (
     FinPath,
     GroupoidPoint,
@@ -42,7 +42,14 @@ from .paths import (
     path_source,
     point_in_Z,
 )
-from .scalars import GaussianRational, ZERO, as_gaussian, format_rational, parse_rational, rational_sqrt
+from .scalars import (
+    GaussianRational,
+    ZERO,
+    as_gaussian,
+    format_rational,
+    rational_from_json_obj,
+    rational_sqrt,
+)
 
 
 @dataclass(frozen=True)
@@ -183,6 +190,12 @@ class AlgElement:
 
     def __init__(self, graph, terms=(), beta_depth=None):
         graph = underlying(graph)
+        if graph.sources:
+            # Refinement below a source would drop terms without a trace.
+            raise PreconditionError(
+                "the algebra needs a graph without sources; %s is the range of no edge"
+                % ", ".join(graph.sources)
+            )
         pairs = terms.items() if isinstance(terms, dict) else terms
         object.__setattr__(self, "graph", graph)
         object.__setattr__(self, "terms", _normal_terms(graph, pairs, beta_depth))
@@ -526,15 +539,19 @@ def _finpath_from_parts(edges, anchor):
 
 
 def mono_from_json_obj(g, item) -> CKMono:
-    try:
-        anchor = item.get("anchor")
-        m = CKMono(
-            _finpath_from_parts(item["alpha"], anchor),
-            _finpath_from_parts(item["beta"], anchor),
-        )
-    except (KeyError, TypeError) as exc:
-        raise BadInputError("monomial JSON needs alpha and beta") from exc
+    if not isinstance(item, dict) or "alpha" not in item or "beta" not in item:
+        raise BadInputError("monomial JSON needs alpha and beta")
+    anchor = item.get("anchor")
+    if anchor is not None and not isinstance(anchor, str):
+        raise BadInputError("anchor must be a string")
+    m = CKMono(
+        _finpath_from_parts(strings_from_json_obj(item["alpha"], "alpha"), anchor),
+        _finpath_from_parts(strings_from_json_obj(item["beta"], "beta"), anchor),
+    )
     check_mono(g, m)
+    src = mono_source(g, m)
+    if anchor is not None and anchor != src:
+        raise BadInputError("anchor %r is not the common source %r" % (anchor, src))
     return m
 
 
@@ -546,7 +563,8 @@ def element_from_json_obj(g, obj) -> AlgElement:
     for item in obj:
         m = mono_from_json_obj(g, item)
         c = GaussianRational(
-            parse_rational(item.get("re", "0")), parse_rational(item.get("im", "0"))
+            rational_from_json_obj(item.get("re", "0")),
+            rational_from_json_obj(item.get("im", "0")),
         )
         pairs.append((m, c))
     return AlgElement(g, pairs)

@@ -5,6 +5,10 @@ one library operation, and prints a single JSON object with sorted keys.
 Rationals are rendered "p/q", never as floats.  Exit codes: 0 success,
 1 domain error (the printed object carries a machine-readable code),
 2 usage error.
+
+The subcommands are the rows of COMMANDS.  A row lists its inputs; an input
+declares its flags and how their parsed text becomes a ready object.  The
+parser, the loading and the output of every subcommand follow from the table.
 """
 
 from __future__ import annotations
@@ -12,10 +16,20 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from collections import namedtuple
 
 from . import bimodule, ckalg, cocycle, graph as graphmod, nest, paths
 from .errors import BadInputError, CkError
 from .scalars import format_rational, parse_rational
+
+# flags: ((flag, argparse keyword arguments), ...).  load(args), if set, runs
+# after parsing in row order and its result replaces args.<name>, so a later
+# input sees the ready objects of the earlier ones (args.graph is the graph).
+Input = namedtuple("Input", "name flags load")
+
+# call(args) runs the library operation on the loaded inputs and emit(result)
+# gives the command's own output keys; main adds "ok".
+Command = namedtuple("Command", "name help inputs call emit")
 
 
 def _load_json(path):
@@ -26,25 +40,6 @@ def _load_json(path):
         raise BadInputError("cannot read %s: %s" % (path, exc)) from exc
     except json.JSONDecodeError as exc:
         raise BadInputError("%s is not valid JSON: %s" % (path, exc)) from exc
-
-
-def _load_graph(args):
-    return graphmod.graph_from_json_obj(_load_json(args.graph))
-
-
-def _load_ordered_graph(args):
-    g = _load_graph(args)
-    if not isinstance(g, graphmod.OrderedGraph):
-        raise BadInputError("this command needs a graph file with an edge order")
-    return g
-
-
-def _load_element(g, path):
-    return ckalg.element_from_json_obj(g, _load_json(path))
-
-
-def _load_fn(args):
-    return cocycle.fn_from_json_obj(_load_json(args.fn))
 
 
 def _finpath_arg(g, word_text, anchor, side):
@@ -58,12 +53,13 @@ def _finpath_arg(g, word_text, anchor, side):
     return paths.empty_path(anchor)
 
 
-def _mono_from_args(g, args):
+def _mono_from_args(args):
     """Build the (alpha, beta) pair from --alpha/--beta words.
 
     When exactly one side is empty its anchor defaults to the source of the
     other side, so --anchor is only needed for the doubly empty monomial.
     """
+    g = args.graph
     alpha_word = paths.parse_edge_word(args.alpha)
     beta_word = paths.parse_edge_word(args.beta)
     anchor = args.anchor
@@ -77,6 +73,8 @@ def _mono_from_args(g, args):
         _finpath_arg(g, args.beta, anchor, "beta"),
     )
     ckalg.check_mono(g, m)
+    if anchor is not None and anchor != ckalg.mono_source(g, m):
+        raise BadInputError("--anchor %s is not the source of the words" % anchor)
     return m
 
 
@@ -89,238 +87,203 @@ def _evpath_from_args(g, prefix_text, cycle_text, side):
     return x
 
 
-def _point_from_args(g, args):
-    x = _evpath_from_args(g, args.x_prefix, args.x_cycle, "x")
-    y = _evpath_from_args(g, args.y_prefix, args.y_cycle, "y")
+def _point_from_args(args):
+    x = _evpath_from_args(args.graph, args.x_prefix, args.x_cycle, "x")
+    y = _evpath_from_args(args.graph, args.y_prefix, args.y_cycle, "y")
     return paths.GroupoidPoint(x, args.k, y)
 
 
-def _coeff_obj(c):
-    return {"re": format_rational(c.re), "im": format_rational(c.im)}
+def _ordered_graph(args):
+    g = graphmod.graph_from_json_obj(_load_json(args.graph))
+    if not isinstance(g, graphmod.OrderedGraph):
+        raise BadInputError("this command needs a graph file with an edge order")
+    return g
 
 
-def _add_graph_arg(sp):
-    sp.add_argument("--graph", required=True, help="graph JSON file")
+def _fn(g, obj):
+    f = cocycle.fn_from_json_obj(obj)
+    cocycle.validate_total(g, f)
+    return f
 
 
-def _add_mono_args(sp):
-    sp.add_argument("--alpha", required=True, help="comma-separated edge ids ('' for empty)")
-    sp.add_argument("--beta", required=True, help="comma-separated edge ids ('' for empty)")
-    sp.add_argument("--anchor", help="vertex for empty paths")
+def _gens(g, obj):
+    if not isinstance(obj, list):
+        raise BadInputError("--gens file must hold a JSON list of elements")
+    return [ckalg.element_from_json_obj(g, item) for item in obj]
 
 
-def _add_point_args(sp):
-    sp.add_argument("--x-prefix", default="", help="prefix edge word of x")
-    sp.add_argument("--x-cycle", required=True, help="cycle edge word of x")
-    sp.add_argument("--k", type=int, required=True, help="degree of the point")
-    sp.add_argument("--y-prefix", default="", help="prefix edge word of y")
-    sp.add_argument("--y-cycle", required=True, help="cycle edge word of y")
+def _arg(flag, load=None, **kw):
+    """One flag; without a loader the handler gets its parsed value."""
+    return Input(flag.lstrip("-").replace("-", "_"), ((flag, kw),), load)
 
 
-def cmd_validate(args):
-    g = _load_graph(args)
-    report = graphmod.validate(g)
-    valid = report.ok
-    out = {
-        "ok": True,
-        "no_source_violations": list(report.no_source_violations),
-        "isolated_vertices": list(report.isolated_vertices),
-        "order_violations": list(report.order_violations),
-    }
+def _file(name, read, required=True, help=None):
+    """--<name> names a JSON file; read(graph, obj) builds the object."""
+    def load(args):
+        path = getattr(args, name)
+        return None if path is None else read(args.graph, _load_json(path))
+
+    return _arg("--" + name, load, required=required, help=help)
+
+
+def _element_file(name):
+    return _file(name, lambda g, obj: ckalg.element_from_json_obj(g, obj))
+
+
+def _loop_word(name, help):
+    return _arg("--" + name, lambda a: _finpath_arg(a.graph, getattr(a, name), None, name),
+                required=True, help=help)
+
+
+_GRAPH_HELP = "graph JSON file"
+GRAPH = _arg("--graph", lambda a: graphmod.graph_from_json_obj(_load_json(a.graph)),
+             required=True, help=_GRAPH_HELP)
+ORDERED_GRAPH = _arg("--graph", _ordered_graph, required=True, help=_GRAPH_HELP)
+ELEMENT, LEFT, RIGHT = (_element_file(n) for n in ("element", "left", "right"))
+FN = _file("fn", _fn)
+_WORD_HELP = "comma-separated edge ids ('' for empty)"
+MONO = Input("mono", (
+    ("--alpha", dict(required=True, help=_WORD_HELP)),
+    ("--beta", dict(required=True, help=_WORD_HELP)),
+    ("--anchor", dict(help="vertex for empty paths")),
+), _mono_from_args)
+POINT = Input("point", (
+    ("--x-prefix", dict(default="", help="prefix edge word of x")),
+    ("--x-cycle", dict(required=True, help="cycle edge word of x")),
+    ("--k", dict(type=int, required=True, help="degree of the point")),
+    ("--y-prefix", dict(default="", help="prefix edge word of y")),
+    ("--y-cycle", dict(required=True, help="cycle edge word of y")),
+), _point_from_args)
+
+
+def _keys(*names):
+    """Serializer of a result that is one value, or a tuple, under these keys."""
+    if len(names) == 1:
+        return lambda r: {names[0]: r}
+    return lambda r: dict(zip(names, r))
+
+
+def _element_out(a):
+    return {"element": ckalg.element_to_json_obj(a)}
+
+
+def _reports(g):
+    """Graph report, then the order report when the graph has an order."""
     if isinstance(g, graphmod.OrderedGraph):
-        order_report = graphmod.validate_order(g)
-        out["order_violations"] = list(order_report.order_violations)
-        valid = valid and order_report.ok
-    out["valid"] = valid
-    return out
+        return graphmod.validate(g), graphmod.validate_order(g)
+    return (graphmod.validate(g),)
 
 
-def cmd_masa_check(args):
-    g = _load_graph(args)
-    return {"ok": True, "masa": graphmod.every_loop_has_entrance(g)}
+def _validation_out(reports):
+    return {
+        "no_source_violations": list(reports[0].no_source_violations),
+        "isolated_vertices": list(reports[0].isolated_vertices),
+        "order_violations": list(reports[-1].order_violations),
+        "valid": all(r.ok for r in reports),
+    }
 
 
-def cmd_normalize(args):
-    g = _load_graph(args)
-    a = _load_element(g, args.element)
-    b = ckalg.normalize(a, beta_depth=args.depth)
-    return {"ok": True, "element": ckalg.element_to_json_obj(b)}
-
-
-def cmd_mul(args):
-    g = _load_graph(args)
-    a = _load_element(g, args.left)
-    b = _load_element(g, args.right)
-    return {"ok": True, "element": ckalg.element_to_json_obj(a * b)}
-
-
-def cmd_phi(args):
-    g = _load_graph(args)
-    a = _load_element(g, args.element)
+def _phi(args):
     if args.fn is not None:
         if args.value is None:
             raise BadInputError("grading by a function needs --value")
-        f = _load_fn(args)
-        cocycle.validate_total(g, f)
-        b = cocycle.cocycle_graded_projection(f, a, parse_rational(args.value))
-    else:
-        if args.degree is None:
-            raise BadInputError("phi needs --degree, or --fn with --value")
-        b = ckalg.phi_m(a, args.degree)
-    return {"ok": True, "element": ckalg.element_to_json_obj(b)}
+        return cocycle.cocycle_graded_projection(args.fn, args.element, parse_rational(args.value))
+    if args.degree is None:
+        raise BadInputError("phi needs --degree, or --fn with --value")
+    return ckalg.phi_m(args.element, args.degree)
 
 
-def cmd_gauge(args):
-    g = _load_graph(args)
-    a = _load_element(g, args.element)
-    b = ckalg.gauge(a, args.root, args.power)
-    return {"ok": True, "element": ckalg.element_to_json_obj(b)}
-
-
-def cmd_eval(args):
-    g = _load_graph(args)
-    a = _load_element(g, args.element)
-    value = ckalg.evaluate(a, _point_from_args(g, args))
-    return {"ok": True, "value": _coeff_obj(value)}
-
-
-def cmd_spectrum(args):
-    g = _load_graph(args)
-    a = _load_element(g, args.element)
-    s = ckalg.support_spectrum(a)
-    return {"ok": True, "spectrum": bimodule.spectrum_to_json_obj(s)}
-
-
-def cmd_bimodule_member(args):
-    g = _load_graph(args)
-    a = _load_element(g, args.element)
-    gens_obj = _load_json(args.gens)
-    if not isinstance(gens_obj, list):
-        raise BadInputError("--gens file must hold a JSON list of elements")
-    gens = [ckalg.element_from_json_obj(g, item) for item in gens_obj]
-    return {"ok": True, "member": bimodule.bimodule_member(a, gens)}
-
-
-def cmd_analytic_member(args):
-    g = _load_graph(args)
-    f = _load_fn(args)
-    cocycle.validate_total(g, f)
-    m = _mono_from_args(g, args)
-    return {"ok": True, "member": bimodule.ck_in_analytic(g, f, m)}
-
-
-def cmd_nest_member(args):
-    og = _load_ordered_graph(args)
-    m = _mono_from_args(og, args)
-    member, clause = nest.in_alg_n(og, m)
-    return {"ok": True, "member": member, "clause": clause}
-
-
-def cmd_nest_oracle(args):
-    og = _load_ordered_graph(args)
-    m = _mono_from_args(og, args)
-    member, violation = nest.in_alg_n_oracle(og, m, args.K)
-    witness = None
-    if violation is not None:
-        witness = {
-            "level": violation.level,
-            "cut": violation.cutpos,
-            "row": paths.finpath_to_json_obj(violation.row),
-            "col": paths.finpath_to_json_obj(violation.col),
-        }
-    return {"ok": True, "member": member, "witness": witness}
-
-
-def cmd_nest_spectrum(args):
-    og = _load_ordered_graph(args)
-    point = _point_from_args(og, args)
-    member, clause = nest.point_in_spectrum_alg_n(og, point)
-    return {"ok": True, "member": member, "clause": clause}
-
-
-def cmd_radical_member(args):
-    og = _load_ordered_graph(args)
-    point = _point_from_args(og, args)
-    return {"ok": True, "member": nest.in_radical_spectrum(og, point)}
-
-
-def cmd_commutator(args):
-    g = _load_graph(args)
-    a = _load_element(g, args.left)
-    b = _load_element(g, args.right)
-    return {"ok": True, "element": ckalg.element_to_json_obj(nest.commutator(a, b))}
-
-
-def cmd_cocycle_eval(args):
-    g = _load_graph(args)
-    f = _load_fn(args)
-    cocycle.validate_total(g, f)
-    value = cocycle.eval_cocycle(f, _point_from_args(g, args))
-    return {"ok": True, "value": format_rational(value)}
-
-
-def cmd_cocycle_check(args):
-    g = _load_graph(args)
-    f = _load_fn(args)
-    cocycle.validate_total(g, f)
-    ok, failures = cocycle.reconstruct_f(g, f)
-    return {"ok": True, "consistent": ok, "failures": len(failures)}
-
-
-def cmd_loop_growth(args):
-    g = _load_graph(args)
-    f = _load_fn(args)
-    cocycle.validate_total(g, f)
-    x = _evpath_from_args(g, "", args.cycle, "x")
-    report = cocycle.loop_growth(f, x, args.period)
-    return {
-        "ok": True,
-        "base": format_rational(report.base),
-        "verified": report.verified,
-        "unbounded": report.unbounded,
+def _oracle_out(result):
+    member, v = result
+    witness = None if v is None else {
+        "level": v.level,
+        "cut": v.cutpos,
+        "row": paths.finpath_to_json_obj(v.row),
+        "col": paths.finpath_to_json_obj(v.col),
     }
+    return {"member": member, "witness": witness}
 
 
-def cmd_weights(args):
-    ids = paths.parse_edge_word(args.edges)
-    weights = cocycle.acyclic_weights(ids)
-    return {
-        "ok": True,
-        "weights": {e: format_rational(w) for e, w in weights.items()},
-    }
-
-
-def cmd_obstruction(args):
-    g = _load_graph(args)
-    alpha = _finpath_arg(g, args.alpha, None, "alpha")
-    beta = _finpath_arg(g, args.beta, None, "beta")
-    witness = cocycle.integer_obstruction_witness(g, alpha, beta, args.ell)
-    return {
-        "ok": True,
-        "x": paths.evpath_to_json_obj(witness.x),
-        "y": paths.evpath_to_json_obj(witness.y),
-        "window": witness.window,
-    }
-
-
-def cmd_normalizer_check(args):
-    g = _load_graph(args)
-    a = _load_element(g, args.element)
-    return {"ok": True, "normalizing": ckalg.is_normalizing_pi(a)}
-
-
-def cmd_separating_proj(args):
-    g = _load_graph(args)
-    e = _mono_from_args(g, args)
-    found = ckalg.separating_projections(g, e, args.level)
-    return {
-        "ok": True,
-        "p": paths.finpath_to_json_obj(found.p.alpha),
-        "q": paths.finpath_to_json_obj(found.q.alpha),
-        "pi": list(found.pi.edges),
-        "w": list(found.w.edges),
-        "level": found.level,
-    }
+COMMANDS = (
+    Command("validate", "check graph axioms", (GRAPH,),
+            lambda a: _reports(a.graph), _validation_out),
+    Command("masa-check", "does every loop have an entrance", (GRAPH,),
+            lambda a: graphmod.every_loop_has_entrance(a.graph), _keys("masa")),
+    Command("normalize", "normal form of an element",
+            (GRAPH, ELEMENT, _arg("--depth", type=int, default=None, help="force beta depth")),
+            lambda a: ckalg.normalize(a.element, beta_depth=a.depth), _element_out),
+    Command("mul", "product of two elements", (GRAPH, LEFT, RIGHT),
+            lambda a: a.left * a.right, _element_out),
+    Command("phi", "graded part of an element", (
+        GRAPH, ELEMENT,
+        _arg("--degree", type=int, default=None, help="integer grading degree"),
+        _file("fn", _fn, required=False, help="grade by this function's cocycle instead"),
+        _arg("--value", default=None, help="rational level for --fn grading"),
+    ), _phi, _element_out),
+    Command("gauge", "rotate by a root of unity", (
+        GRAPH, ELEMENT,
+        _arg("--root", type=int, required=True, help="root order: 1, 2 or 4"),
+        _arg("--power", type=int, required=True),
+    ), lambda a: ckalg.gauge(a.element, a.root, a.power), _element_out),
+    Command("eval", "value of an element at a point", (GRAPH, ELEMENT, POINT),
+            lambda a: ckalg.evaluate(a.element, a.point),
+            lambda c: {"value": {"re": format_rational(c.re), "im": format_rational(c.im)}}),
+    Command("spectrum", "support basic sets of an element", (GRAPH, ELEMENT),
+            lambda a: ckalg.support_spectrum(a.element),
+            lambda s: {"spectrum": bimodule.spectrum_to_json_obj(s)}),
+    Command("bimodule-member", "membership in a generated bimodule",
+            (GRAPH, ELEMENT, _file("gens", _gens, help="JSON list of generator elements")),
+            lambda a: bimodule.bimodule_member(a.element, a.gens), _keys("member")),
+    Command("analytic-member", "monomial in the cocycle-analytic part", (GRAPH, FN, MONO),
+            lambda a: bimodule.ck_in_analytic(a.graph, a.fn, a.mono), _keys("member")),
+    Command("nest-member", "five-clause nest membership", (ORDERED_GRAPH, MONO),
+            lambda a: nest.in_alg_n(a.graph, a.mono), _keys("member", "clause")),
+    Command("nest-oracle", "cut-by-cut nest membership check",
+            (ORDERED_GRAPH, MONO, _arg("--K", type=int, default=None, help="level bound")),
+            lambda a: nest.in_alg_n_oracle(a.graph, a.mono, a.K), _oracle_out),
+    Command("nest-spectrum", "point in the nest-algebra spectrum", (ORDERED_GRAPH, POINT),
+            lambda a: nest.point_in_spectrum_alg_n(a.graph, a.point), _keys("member", "clause")),
+    Command("radical-member", "point in the radical spectrum", (ORDERED_GRAPH, POINT),
+            lambda a: nest.in_radical_spectrum(a.graph, a.point), _keys("member")),
+    Command("commutator", "ab - ba", (GRAPH, LEFT, RIGHT),
+            lambda a: nest.commutator(a.left, a.right), _element_out),
+    Command("cocycle-eval", "cocycle value at a point", (GRAPH, FN, POINT),
+            lambda a: cocycle.eval_cocycle(a.fn, a.point),
+            lambda v: {"value": format_rational(v)}),
+    Command("cocycle-check", "function/cocycle round trip", (GRAPH, FN),
+            lambda a: cocycle.reconstruct_f(a.graph, a.fn),
+            lambda r: {"consistent": r[0], "failures": len(r[1])}),
+    Command("loop-growth", "linear growth along a periodic point", (
+        GRAPH, FN,
+        _arg("--cycle", lambda a: _evpath_from_args(a.graph, "", a.cycle, "x"),
+             required=True, help="cycle edge word"),
+        _arg("--period", type=int, required=True),
+    ), lambda a: cocycle.loop_growth(a.fn, a.cycle, a.period), lambda r: {
+        "base": format_rational(r.base), "verified": r.verified, "unbounded": r.unbounded}),
+    Command("weights", "dominating geometric edge weights",
+            (_arg("--edges", lambda a: paths.parse_edge_word(a.edges),
+                  required=True, help="comma-separated edge ids"),),
+            lambda a: cocycle.acyclic_weights(a.edges),
+            lambda w: {"weights": {e: format_rational(v) for e, v in w.items()}}),
+    Command("obstruction", "integer-window obstruction witness", (
+        GRAPH, _loop_word("alpha", "first loop edge word"),
+        _loop_word("beta", "second loop edge word"),
+        _arg("--ell", type=int, required=True, help="multiplicity, at least 2"),
+    ), lambda a: cocycle.integer_obstruction_witness(a.graph, a.alpha, a.beta, a.ell),
+        lambda w: {"x": paths.evpath_to_json_obj(w.x), "y": paths.evpath_to_json_obj(w.y),
+                   "window": w.window}),
+    Command("normalizer-check", "normalizing partial isometry test", (GRAPH, ELEMENT),
+            lambda a: ckalg.is_normalizing_pi(a.element), _keys("normalizing")),
+    Command("separating-proj", "separating projection pair",
+            (GRAPH, MONO, _arg("--level", type=int, required=True, help="separation level k")),
+            lambda a: ckalg.separating_projections(a.graph, a.mono, a.level), lambda s: {
+                "p": paths.finpath_to_json_obj(s.p.alpha),
+                "q": paths.finpath_to_json_obj(s.q.alpha),
+                "pi": list(s.pi.edges),
+                "w": list(s.w.edges),
+                "level": s.level,
+            }),
+)
 
 
 def build_parser():
@@ -329,134 +292,13 @@ def build_parser():
         description="Exact symbolic calculator for graph-algebra path combinatorics.",
     )
     sub = ap.add_subparsers(dest="cmd", required=True)
-
-    sp = sub.add_parser("validate", help="check graph axioms")
-    _add_graph_arg(sp)
-    sp.set_defaults(func=cmd_validate)
-
-    sp = sub.add_parser("masa-check", help="does every loop have an entrance")
-    _add_graph_arg(sp)
-    sp.set_defaults(func=cmd_masa_check)
-
-    sp = sub.add_parser("normalize", help="normal form of an element")
-    _add_graph_arg(sp)
-    sp.add_argument("--element", required=True)
-    sp.add_argument("--depth", type=int, default=None, help="force beta depth")
-    sp.set_defaults(func=cmd_normalize)
-
-    sp = sub.add_parser("mul", help="product of two elements")
-    _add_graph_arg(sp)
-    sp.add_argument("--left", required=True)
-    sp.add_argument("--right", required=True)
-    sp.set_defaults(func=cmd_mul)
-
-    sp = sub.add_parser("phi", help="graded part of an element")
-    _add_graph_arg(sp)
-    sp.add_argument("--element", required=True)
-    sp.add_argument("--degree", type=int, default=None, help="integer grading degree")
-    sp.add_argument("--fn", default=None, help="grade by this function's cocycle instead")
-    sp.add_argument("--value", default=None, help="rational level for --fn grading")
-    sp.set_defaults(func=cmd_phi)
-
-    sp = sub.add_parser("gauge", help="rotate by a root of unity")
-    _add_graph_arg(sp)
-    sp.add_argument("--element", required=True)
-    sp.add_argument("--root", type=int, required=True, help="root order: 1, 2 or 4")
-    sp.add_argument("--power", type=int, required=True)
-    sp.set_defaults(func=cmd_gauge)
-
-    sp = sub.add_parser("eval", help="value of an element at a point")
-    _add_graph_arg(sp)
-    sp.add_argument("--element", required=True)
-    _add_point_args(sp)
-    sp.set_defaults(func=cmd_eval)
-
-    sp = sub.add_parser("spectrum", help="support basic sets of an element")
-    _add_graph_arg(sp)
-    sp.add_argument("--element", required=True)
-    sp.set_defaults(func=cmd_spectrum)
-
-    sp = sub.add_parser("bimodule-member", help="membership in a generated bimodule")
-    _add_graph_arg(sp)
-    sp.add_argument("--element", required=True)
-    sp.add_argument("--gens", required=True, help="JSON list of generator elements")
-    sp.set_defaults(func=cmd_bimodule_member)
-
-    sp = sub.add_parser("analytic-member", help="monomial in the cocycle-analytic part")
-    _add_graph_arg(sp)
-    sp.add_argument("--fn", required=True)
-    _add_mono_args(sp)
-    sp.set_defaults(func=cmd_analytic_member)
-
-    sp = sub.add_parser("nest-member", help="five-clause nest membership")
-    _add_graph_arg(sp)
-    _add_mono_args(sp)
-    sp.set_defaults(func=cmd_nest_member)
-
-    sp = sub.add_parser("nest-oracle", help="cut-by-cut nest membership check")
-    _add_graph_arg(sp)
-    _add_mono_args(sp)
-    sp.add_argument("--K", type=int, default=None, help="level bound")
-    sp.set_defaults(func=cmd_nest_oracle)
-
-    sp = sub.add_parser("nest-spectrum", help="point in the nest-algebra spectrum")
-    _add_graph_arg(sp)
-    _add_point_args(sp)
-    sp.set_defaults(func=cmd_nest_spectrum)
-
-    sp = sub.add_parser("radical-member", help="point in the radical spectrum")
-    _add_graph_arg(sp)
-    _add_point_args(sp)
-    sp.set_defaults(func=cmd_radical_member)
-
-    sp = sub.add_parser("commutator", help="ab - ba")
-    _add_graph_arg(sp)
-    sp.add_argument("--left", required=True)
-    sp.add_argument("--right", required=True)
-    sp.set_defaults(func=cmd_commutator)
-
-    sp = sub.add_parser("cocycle-eval", help="cocycle value at a point")
-    _add_graph_arg(sp)
-    sp.add_argument("--fn", required=True)
-    _add_point_args(sp)
-    sp.set_defaults(func=cmd_cocycle_eval)
-
-    sp = sub.add_parser("cocycle-check", help="function/cocycle round trip")
-    _add_graph_arg(sp)
-    sp.add_argument("--fn", required=True)
-    sp.set_defaults(func=cmd_cocycle_check)
-
-    sp = sub.add_parser("loop-growth", help="linear growth along a periodic point")
-    _add_graph_arg(sp)
-    sp.add_argument("--fn", required=True)
-    sp.add_argument("--cycle", required=True, help="cycle edge word")
-    sp.add_argument("--period", type=int, required=True)
-    sp.set_defaults(func=cmd_loop_growth)
-
-    sp = sub.add_parser("weights", help="dominating geometric edge weights")
-    sp.add_argument("--edges", required=True, help="comma-separated edge ids")
-    sp.set_defaults(func=cmd_weights)
-
-    sp = sub.add_parser("obstruction", help="integer-window obstruction witness")
-    _add_graph_arg(sp)
-    sp.add_argument("--alpha", required=True, help="first loop edge word")
-    sp.add_argument("--beta", required=True, help="second loop edge word")
-    sp.add_argument("--ell", type=int, required=True, help="multiplicity, at least 2")
-    sp.set_defaults(func=cmd_obstruction)
-
-    sp = sub.add_parser("normalizer-check", help="normalizing partial isometry test")
-    _add_graph_arg(sp)
-    sp.add_argument("--element", required=True)
-    sp.set_defaults(func=cmd_normalizer_check)
-
-    sp = sub.add_parser("separating-proj", help="separating projection pair")
-    _add_graph_arg(sp)
-    _add_mono_args(sp)
-    sp.add_argument("--level", type=int, required=True, help="separation level k")
-    sp.set_defaults(func=cmd_separating_proj)
-
-    for name, sp_obj in sub.choices.items():
-        sp_obj.add_argument("--json-out", default=None, help="also write the JSON here")
+    for cmd in COMMANDS:
+        sp = sub.add_parser(cmd.name, help=cmd.help)
+        for inp in cmd.inputs:
+            for flag, kw in inp.flags:
+                sp.add_argument(flag, **kw)
+        sp.add_argument("--json-out", default=None, help="also write the JSON here")
+        sp.set_defaults(command=cmd)
     return ap
 
 
@@ -484,13 +326,16 @@ def _emit(obj, json_out):
 
 
 def main(argv=None):
-    ap = build_parser()
-    args = ap.parse_args(argv)
+    args = build_parser().parse_args(argv)
+    cmd = args.command
     try:
-        out, status = args.func(args), 0
+        for inp in cmd.inputs:
+            if inp.load is not None:
+                setattr(args, inp.name, inp.load(args))
+        out, status = dict(cmd.emit(cmd.call(args)), ok=True), 0
     except CkError as exc:
         out, status = _error_obj(exc), 1
-    return status if _emit(out, getattr(args, "json_out", None)) else 1
+    return status if _emit(out, args.json_out) else 1
 
 
 if __name__ == "__main__":

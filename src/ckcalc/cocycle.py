@@ -22,7 +22,7 @@ from .errors import (
     PreconditionError,
     WindowTooShortError,
 )
-from .graph import max_simple_loop_length, underlying
+from .graph import max_simple_loop_length, strings_from_json_obj, underlying
 from .paths import (
     EvPath,
     FinPath,
@@ -37,7 +37,7 @@ from .paths import (
     shift,
     shift_n,
 )
-from .scalars import format_rational, parse_rational
+from .scalars import format_rational, rational_from_json_obj
 
 
 class LocallyConstantFn:
@@ -399,15 +399,17 @@ def fn_to_json_obj(f: LocallyConstantFn):
 
 
 def fn_from_json_obj(obj) -> LocallyConstantFn:
-    try:
-        depth = int(obj["depth"])
-        entries = list(obj["table"])
-    except (KeyError, TypeError, ValueError) as exc:
-        raise BadInputError("function JSON needs depth and table") from exc
+    if not isinstance(obj, dict) or "depth" not in obj or not isinstance(obj.get("table"), list):
+        raise BadInputError("function JSON needs depth and table")
+    depth = obj["depth"]
+    if not isinstance(depth, int) or isinstance(depth, bool):
+        raise BadInputError("function depth must be an integer, not %r" % (depth,))
     table = {}
-    for item in entries:
-        try:
-            table[tuple(item["path"])] = parse_rational(item["value"])
-        except (KeyError, TypeError) as exc:
-            raise BadInputError("table entries need path and value") from exc
+    for item in obj["table"]:
+        if not isinstance(item, dict) or "path" not in item or "value" not in item:
+            raise BadInputError("table entries need path and value")
+        word = strings_from_json_obj(item["path"], "table path")
+        if word in table:
+            raise BadInputError("table repeats path %r" % (word,))
+        table[word] = rational_from_json_obj(item["value"])
     return LocallyConstantFn(depth, table)

@@ -62,6 +62,8 @@ class Graph:
             self.edge_by_id[e.id] = e
             self._in[e.range].append(e)
             self._out[e.source].append(e)
+        # Vertices that are the range of no edge, which the algebra excludes.
+        self.sources = tuple(sorted(v for v in self.vertices if not self._in[v]))
 
     def in_edges(self, v):
         """Edges whose range is v: the edges a path at v can start with."""
@@ -101,6 +103,16 @@ class OrderedGraph:
             self.position[eid] = i
         if len(self.order) != len(graph.edges):
             raise InvalidGraphError("order must list every edge exactly once")
+        # Vertices whose in-edges are not an interval of the order.  They are
+        # recorded, not rejected, so validate_order can report them; the nest
+        # layer refuses to work unless `adapted`.
+        bad = []
+        for v in sorted(graph.vertices):
+            positions = sorted(self.position[e.id] for e in graph.in_edges(v))
+            if positions and positions != list(range(positions[0], positions[-1] + 1)):
+                bad.append(v)
+        self.order_violations = tuple(bad)
+        self.adapted = not bad
         self._vertex_pos = None
 
     def pos(self, edge_id):
@@ -130,29 +142,17 @@ class OrderedGraph:
 def validate(graph: Graph) -> ValidationReport:
     """Report vertices violating no-sources and isolated vertices."""
     graph = underlying(graph)
-    no_source = tuple(sorted(v for v in graph.vertices if not graph.in_edges(v)))
-    isolated = tuple(
-        sorted(
-            v
-            for v in graph.vertices
-            if not graph.in_edges(v) and not graph.out_edges(v)
-        )
-    )
+    isolated = tuple(v for v in graph.sources if not graph.out_edges(v))
     return ValidationReport(
-        ok=not no_source and not isolated,
-        no_source_violations=no_source,
+        ok=not graph.sources,
+        no_source_violations=graph.sources,
         isolated_vertices=isolated,
     )
 
 
 def validate_order(og: OrderedGraph) -> ValidationReport:
     """Check that each vertex's in-edge set is an interval of the order."""
-    bad = []
-    for v in sorted(og.graph.vertices):
-        positions = sorted(og.position[e.id] for e in og.graph.in_edges(v))
-        if positions and positions != list(range(positions[0], positions[-1] + 1)):
-            bad.append(v)
-    return ValidationReport(ok=not bad, order_violations=tuple(bad))
+    return ValidationReport(ok=og.adapted, order_violations=og.order_violations)
 
 
 def _step_arcs(graph: Graph, edges):
@@ -257,24 +257,37 @@ def max_simple_loop_length(graph: Graph) -> int:
     return max((len(c) for c in cycles), default=1)
 
 
+def strings_from_json_obj(obj, what) -> tuple:
+    """The JSON list obj as a tuple of strings; BadInputError for anything else."""
+    if not isinstance(obj, (list, tuple)) or not all(isinstance(s, str) for s in obj):
+        raise BadInputError("%s must be a list of strings" % what)
+    return tuple(obj)
+
+
 def graph_from_json_obj(obj):
-    """Build Graph or OrderedGraph from the {"vertices","edges"[,"order"]} shape."""
+    """Build Graph or OrderedGraph from the {"vertices","edges"[,"order"]} shape.
+
+    Edge ids must be usable as command-line words: nonempty, without ','
+    and without surrounding spaces.
+    """
     if not isinstance(obj, dict):
         raise BadInputError("graph JSON must be an object")
-    try:
-        vertices = list(obj["vertices"])
-        raw_edges = list(obj["edges"])
-    except (KeyError, TypeError) as exc:
-        raise BadInputError("graph JSON needs 'vertices' and 'edges'") from exc
+    if "vertices" not in obj or not isinstance(obj.get("edges"), list):
+        raise BadInputError("graph JSON needs 'vertices' and 'edges'")
+    vertices = strings_from_json_obj(obj["vertices"], "graph vertices")
     edges = []
-    for item in raw_edges:
-        try:
-            edges.append(Edge(id=item["id"], range=item["range"], source=item["source"]))
-        except (KeyError, TypeError) as exc:
-            raise BadInputError("edge entries need id/range/source") from exc
+    for item in obj["edges"]:
+        if not isinstance(item, dict) or not {"id", "range", "source"} <= item.keys():
+            raise BadInputError("edge entries need id/range/source")
+        eid, rng, src = item["id"], item["range"], item["source"]
+        if not all(isinstance(x, str) for x in (eid, rng, src)):
+            raise BadInputError("edge id, range and source must be strings")
+        if not eid or "," in eid or eid != eid.strip():
+            raise BadInputError("edge id %r is empty, has a ',' or surrounding spaces" % eid)
+        edges.append(Edge(id=eid, range=rng, source=src))
     g = Graph(vertices, edges)
     if "order" in obj:
-        return OrderedGraph(g, list(obj["order"]))
+        return OrderedGraph(g, strings_from_json_obj(obj["order"], "graph order"))
     return g
 
 

@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .ckalg import AlgElement, CKMono, check_mono, mono_source, path_tail_of
-from .errors import BadInputError, OutOfRangeError
+from .errors import BadInputError, OutOfRangeError, PreconditionError
 from .graph import OrderedGraph, max_simple_loop_length, underlying
 from .paths import (
     FinPath,
@@ -29,6 +29,15 @@ from .paths import (
 )
 
 
+def _not_adapted(og):
+    if not isinstance(og, OrderedGraph):
+        return PreconditionError("the nest layer needs a graph with an edge order")
+    return PreconditionError(
+        "edge order is not adapted: in-edges of %s are not an interval"
+        % ", ".join(og.order_violations)
+    )
+
+
 def _atom_key(og: OrderedGraph, word, anchor):
     """Sort key of a level atom given as a raw edge word (or a vertex)."""
     if word:
@@ -38,6 +47,8 @@ def _atom_key(og: OrderedGraph, word, anchor):
 
 def level_atoms(og: OrderedGraph, level):
     """All length-`level` paths, smallest first in the level order."""
+    if not getattr(og, "adapted", False):
+        raise _not_adapted(og)
     if level < 0:
         raise BadInputError("level must be nonnegative")
     atoms = all_finpaths(og, level)
@@ -64,6 +75,8 @@ def _head(og, p: FinPath, length) -> FinPath:
 
 def in_alg_n(og: OrderedGraph, m: CKMono):
     """Five-clause membership test; returns (member, clause name or None)."""
+    if not getattr(og, "adapted", False):
+        raise _not_adapted(og)
     check_mono(og, m)
     a, b = m.alpha, m.beta
     if len(a) == len(b) and lex_compare(a, b, og) <= 0:
@@ -107,9 +120,13 @@ def in_alg_n_oracle(og: OrderedGraph, m: CKMono, level_bound=None):
     pair has row after col, which is the same as passing every initial-
     segment projection.  Returns (member, violation or None).
     """
+    if not getattr(og, "adapted", False):
+        raise _not_adapted(og)
     check_mono(og, m)
     if level_bound is None:
         level_bound = default_level_bound(og, m)
+    elif level_bound < 0:
+        raise BadInputError("level bound must be nonnegative")
     g = underlying(og)
     src = mono_source(g, m)
     ra = path_range(g, m.alpha)
@@ -142,6 +159,8 @@ def point_in_spectrum_alg_n(og: OrderedGraph, point: GroupoidPoint):
     (k > 0) or s-maximal (k < 0); all cycle rotations are candidate blocks.
     Returns (member, clause name or None).
     """
+    if not getattr(og, "adapted", False):
+        raise _not_adapted(og)
     x, k, y = point.x, point.k, point.y
     cmp = lex_compare(x, y, og)
     if cmp < 0:

@@ -25,7 +25,7 @@ from .errors import (
     LengthMismatchError,
     NotComposableError,
 )
-from .graph import Graph, OrderedGraph, underlying
+from .graph import Graph, OrderedGraph, strings_from_json_obj, underlying
 
 
 @dataclass(frozen=True)
@@ -406,7 +406,10 @@ def evpath_to_json_obj(x: EvPath):
 def evpath_from_json_obj(obj) -> EvPath:
     if not isinstance(obj, dict) or "cycle" not in obj:
         raise BadInputError("eventually periodic path JSON needs 'cycle'")
-    return EvPath(tuple(obj.get("prefix", ())), tuple(obj["cycle"]))
+    return EvPath(
+        strings_from_json_obj(obj.get("prefix", []), "prefix"),
+        strings_from_json_obj(obj["cycle"], "cycle"),
+    )
 
 
 def parse_edge_word(text) -> tuple:

@@ -20,6 +20,13 @@ def parse_rational(text) -> Fraction:
         raise BadInputError("not a rational: %r" % (text,)) from exc
 
 
+def rational_from_json_obj(value) -> Fraction:
+    """parse_rational for JSON input, where a rational must be a string."""
+    if not isinstance(value, str):
+        raise BadInputError("rationals must be strings like \"1/2\", not %r" % (value,))
+    return parse_rational(value)
+
+
 def format_rational(value: Fraction) -> str:
     """Canonical "p/q" (or "p" when integral) rendering."""
     return str(Fraction(value))

@@ -34,10 +34,11 @@ from ckcalc.errors import (
     UnsupportedNormError,
     UnsupportedRootError,
 )
-from ckcalc.graph import underlying
+from ckcalc.graph import underlying, validate
 from ckcalc.paths import GroupoidPoint, empty_path, ev, fpath, prepend
 from ckcalc.scalars import GaussianRational
 
+from conftest import build_graph
 from helpers import make_rng, rand_element, rand_point
 
 
@@ -327,3 +328,20 @@ def test_product_matches_all_pairs_reference(request, name):
             got, want = x * y, _all_pairs_product(x, y)
             assert got == want
             assert element_to_json_obj(got) == element_to_json_obj(want)
+
+
+def test_graph_with_a_source_is_rejected():
+    # v has in-edges f (from v) and e (from the source w).  Refining below w
+    # is impossible, so p_v + R_ff used to lose its R_e part and come out as
+    # 2 R_ff + R_fe.
+    g = build_graph(["v", "w"], [("f", "v", "v"), ("e", "v", "w")])
+    assert g.sources == ("w",)
+    assert validate(g).no_source_violations == ("w",)
+    for call in (
+        lambda: vertex_projection(g, "v"),
+        lambda: range_projection(g, fpath("f", "f")),
+        lambda: zero(g),
+        lambda: element_from_json_obj(g, []),
+    ):
+        with pytest.raises(PreconditionError):
+            call()

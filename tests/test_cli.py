@@ -1,8 +1,19 @@
+import argparse
+import contextlib
+import io
 import json
+import pathlib
+import tempfile
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-from ckcalc.cli import main
+from ckcalc.bimodule import spectrum_from_json_obj
+from ckcalc.cli import build_parser, main
+from ckcalc.errors import BadInputError
+from ckcalc.graph import graph_from_json_obj
+from ckcalc.paths import evpath_from_json_obj
 
 
 O2_GRAPH = {
@@ -194,6 +205,14 @@ def test_nest_member_shapes(ws, capsys):
     assert out == {"ok": True, "member": True, "clause": "equal_length_le"}
 
 
+def test_anchor_must_be_the_source_of_the_words(ws, capsys):
+    argv = ["nest-member", "--graph", ws["o2"], "--alpha", "a", "--beta", "b"]
+    code, out = run(capsys, argv + ["--anchor", "v"])
+    assert code == 0 and out["member"] is True
+    code, out = run(capsys, argv + ["--anchor", "zzz"])
+    assert code == 1 and out["error"]["code"] == "bad_input"
+
+
 def test_nest_member_requires_order(ws, capsys):
     code, out = run(
         capsys,
@@ -220,6 +239,11 @@ def test_nest_oracle_witness(ws, capsys):
         ["nest-oracle", "--graph", ws["o2"], "--alpha", "a", "--beta", "a"],
     )
     assert code == 0 and out["member"] is True and out["witness"] is None
+    code, out = run(
+        capsys,
+        ["nest-oracle", "--graph", ws["o2"], "--alpha", "b", "--beta", "a", "--K", "-1"],
+    )
+    assert code == 1 and out["error"]["code"] == "bad_input"
 
 
 def test_nest_spectrum_and_radical(ws, capsys):
@@ -359,3 +383,194 @@ def test_usage_error_exits_two(ws):
     with pytest.raises(SystemExit) as exc:
         main(["no-such-command"])
     assert exc.value.code == 2
+
+
+def _edge(eid, rng="v", src="v"):
+    return {"id": eid, "range": rng, "source": src}
+
+
+def _o2_with(**changes):
+    return dict(O2_GRAPH, **changes)
+
+
+def _term(**changes):
+    return dict(S_A[0], **changes)
+
+
+@pytest.mark.parametrize(
+    "kind, obj",
+    [
+        ("element", [5]),
+        ("element", [_term(alpha="ab")]),
+        ("element", [_term(alpha=["a", 1])]),
+        ("element", [_term(anchor=3)]),
+        ("element", [_term(beta=["b"], anchor="w")]),
+        ("element", [_term(re=0.5)]),
+        ("element", [_term(im=1)]),
+        ("graph", _o2_with(vertices="v")),
+        ("graph", _o2_with(edges=[_edge(["a"]), _edge("b")])),
+        ("graph", _o2_with(edges=[_edge(7), _edge("b")], order=[7, "b"])),
+        ("graph", _o2_with(edges=[_edge("a,b"), _edge("b")], order=["a,b", "b"])),
+        ("graph", _o2_with(edges=[_edge(" a"), _edge("b")], order=[" a", "b"])),
+        ("graph", _o2_with(edges=[_edge("a", rng=["v"]), _edge("b")])),
+        ("graph", _o2_with(edges="ab")),
+        ("graph", _o2_with(order="ab")),
+        ("fn", dict(FN_IND_A, depth="1")),
+        ("fn", dict(FN_IND_A, depth=True)),
+        ("fn", dict(FN_IND_A, depth=1.0)),
+        ("fn", {"depth": 0, "table": [{"path": [], "value": 1}]}),
+        ("fn", {"depth": 0, "table": [{"path": "", "value": "1"}]}),
+        ("fn", {"depth": 1, "table": FN_IND_A["table"] + [{"path": ["a"], "value": "2"}]}),
+        ("spectrum", [{"alpha": "a", "beta": [], "anchor": "v"}]),
+        ("spectrum", [7]),
+        ("evpath", {"cycle": "ab"}),
+        ("evpath", {"prefix": [1], "cycle": ["a"]}),
+    ],
+)
+def test_json_loaders_reject_malformed_input(ws, capsys, kind, obj):
+    if kind in ("spectrum", "evpath"):  # no subcommand reads these
+        with pytest.raises(BadInputError):
+            if kind == "spectrum":
+                spectrum_from_json_obj(graph_from_json_obj(O2_GRAPH), obj)
+            else:
+                evpath_from_json_obj(obj)
+        return
+    path = ws["save"]("bad.json", obj)
+    argv = {
+        "graph": ["validate", "--graph", path],
+        "element": ["normalize", "--graph", ws["o2"], "--element", path],
+        "fn": ["cocycle-check", "--graph", ws["o2"], "--fn", path],
+    }[kind]
+    code, out = run(capsys, argv)
+    assert code == 1 and out["error"]["code"] == "bad_input"
+
+
+def _subcommands():
+    """The parser's subcommand parsers by name: one per command table row."""
+    action = next(
+        a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)
+    )
+    return action.choices
+
+
+def test_readme_table_lists_every_subcommand():
+    readme = (pathlib.Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("## Command line", 1)[1].split("\n## ", 1)[0]
+    names = [
+        line.split("|")[1].strip().strip("`")
+        for line in section.splitlines()
+        if line.startswith("| `")
+    ]
+    assert len(names) == len(set(names))
+    assert set(names) == set(_subcommands())
+
+
+# Inputs for the fuzz test.  Each call spoils at most one flag; the others
+# get values that are well formed on O2, so that most calls get past loading.
+FUZZ_WORDS = ["", "a", "b", "a,b", "b,a,a", "a,a,b"]
+FUZZ_BAD_WORDS = ["e1", "zz", "a,,b"]
+FUZZ_KEYS = ["vertices", "edges", "order", "id", "range", "source", "alpha", "beta",
+             "anchor", "re", "im", "depth", "table", "path", "value", "prefix", "cycle"]
+MISSING, NOT_JSON = object(), object()
+fuzz_rationals = st.sampled_from(["0", "1", "-1/2", "3"])
+fuzz_words = st.lists(st.sampled_from(["a", "b"]), max_size=3)
+fuzz_elements = st.lists(st.fixed_dictionaries(
+    {"alpha": fuzz_words, "beta": fuzz_words, "anchor": st.just("v")},
+    optional={"re": fuzz_rationals, "im": fuzz_rationals},
+), max_size=3)
+FUZZ_GOOD_FILES = {
+    "--graph": st.just(O2_GRAPH),
+    "--element": fuzz_elements,
+    "--left": fuzz_elements,
+    "--right": fuzz_elements,
+    "--gens": st.lists(fuzz_elements, max_size=2),
+    "--fn": st.sampled_from([FN_ONE, FN_IND_A]) | st.fixed_dictionaries({
+        "depth": st.integers(0, 2),
+        "table": st.lists(st.fixed_dictionaries(
+            {"path": fuzz_words, "value": fuzz_rationals}), max_size=4),
+    }),
+}
+fuzz_junk = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 3) | st.floats(-2, 2)
+    | st.text(alphabet="abv,/1", max_size=3),
+    lambda kids: st.lists(kids, max_size=3)
+    | st.dictionaries(st.sampled_from(FUZZ_KEYS), kids, max_size=4),
+    max_leaves=6,
+)
+fuzz_bad_elements = st.lists(fuzz_junk, min_size=1, max_size=3)
+# Malformed files, mostly of the right outer shape so they reach the inner checks.
+FUZZ_BAD_FILES = {
+    "--graph": st.sampled_from([
+        LOOP3_GRAPH,
+        # a graph with a source, and one whose order is not adapted
+        {"vertices": ["v", "w"], "edges": [_edge("f"), _edge("e", src="w")]},
+        {
+            "vertices": ["v", "w"],
+            "edges": [_edge("a"), _edge("b", "w"), _edge("c", "v", "w"), _edge("d", "w", "w")],
+            "order": ["a", "b", "c", "d"],
+        },
+    ]) | st.dictionaries(st.sampled_from(["vertices", "edges", "order"]), fuzz_junk),
+    "--element": fuzz_bad_elements,
+    "--left": fuzz_bad_elements,
+    "--right": fuzz_bad_elements,
+    "--gens": st.lists(fuzz_bad_elements, min_size=1, max_size=2) | fuzz_junk,
+    "--fn": st.dictionaries(st.sampled_from(["depth", "table"]), fuzz_junk),
+}
+SUBCOMMANDS = _subcommands()
+
+
+def _fuzz_value(flag, action, spoiled):
+    """Strategy for the text given to one flag (file contents for file flags)."""
+    if flag in FUZZ_GOOD_FILES:
+        if spoiled:
+            return st.sampled_from([MISSING, NOT_JSON]) | FUZZ_BAD_FILES[flag]
+        return FUZZ_GOOD_FILES[flag]
+    if action.type is int:
+        # Kept small: refinement is exponential in --depth and --K, and so
+        # are the searches behind --level and --ell.
+        return st.integers(-2, 3).map(str)
+    if flag == "--anchor":
+        return st.just("nope" if spoiled else "v")
+    if flag == "--value":
+        return st.sampled_from(["x", "1/0"]) if spoiled else fuzz_rationals
+    if flag == "--json-out":
+        return st.just("no_such_dir/out.json" if spoiled else "out.json")
+    return st.sampled_from(FUZZ_BAD_WORDS if spoiled else FUZZ_WORDS)
+
+
+# Every row of the command table is fuzzed on every run, a few calls each.
+@pytest.mark.parametrize("name", sorted(SUBCOMMANDS))
+@settings(max_examples=5, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture, HealthCheck.too_slow])
+@given(data=st.data())
+def test_fuzz_main_prints_one_object_or_exits_two(tmp_path, name, data):
+    actions = [a for a in SUBCOMMANDS[name]._actions if a.option_strings[-1] != "--help"]
+    spoil = data.draw(st.sampled_from([None] + [a.option_strings[-1] for a in actions]),
+                      label="spoiled flag")
+    workdir = pathlib.Path(tempfile.mkdtemp(dir=tmp_path))
+    argv = [name]
+    for action in actions:
+        flag = action.option_strings[-1]
+        if not (action.required or flag == spoil or data.draw(st.booleans(), label=flag)):
+            continue
+        value = data.draw(_fuzz_value(flag, action, flag == spoil), label=flag)
+        if flag in FUZZ_GOOD_FILES or flag == "--json-out":
+            path = workdir / (flag[2:] + ".json" if flag in FUZZ_GOOD_FILES else value)
+            if value is NOT_JSON:
+                path.write_text("{not json", encoding="utf-8")
+            elif flag in FUZZ_GOOD_FILES and value is not MISSING:
+                path.write_text(json.dumps(value), encoding="utf-8")
+            value = str(path)
+        argv += [flag, value]
+    buf = io.StringIO()
+    try:
+        with contextlib.redirect_stdout(buf):
+            code = main(argv)
+    except SystemExit as exc:
+        assert exc.code == 2
+        return
+    assert code in (0, 1)
+    lines = buf.getvalue().splitlines()
+    assert len(lines) == 1
+    out = json.loads(lines[0])
+    assert isinstance(out, dict) and out["ok"] is (code == 0)

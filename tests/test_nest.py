@@ -9,7 +9,8 @@ from ckcalc.ckalg import (
     vertex_projection,
     zero,
 )
-from ckcalc.errors import BadInputError, InvalidPointError, OutOfRangeError
+from ckcalc.errors import BadInputError, InvalidPointError, OutOfRangeError, PreconditionError
+from ckcalc.graph import validate_order
 from ckcalc.nest import (
     NestViolation,
     commutator,
@@ -23,6 +24,7 @@ from ckcalc.nest import (
 )
 from ckcalc.paths import GroupoidPoint, empty_path, ev, fpath, prepend
 
+from conftest import build_graph
 from helpers import all_monos, make_rng
 
 
@@ -204,3 +206,32 @@ def test_commutator_examples(o2):
     assert commutator(pv, ab).is_zero()
     assert commutator(ab, ab).is_zero()
     assert commutator(ra, ab) == commutator(ab, ra).scale(-1)
+
+
+def test_nest_layer_rejects_non_adapted_order():
+    # In-edges of v are a and c, of w are b and d: neither is an order interval.
+    # On this order the clause test and the oracle disagree on 8 of the 98
+    # monomials with both paths of length at most 2.
+    og = build_graph(
+        ["v", "w"],
+        [("a", "v", "v"), ("b", "w", "v"), ("c", "v", "w"), ("d", "w", "w")],
+        order=["a", "b", "c", "d"],
+    )
+    assert not og.adapted
+    report = validate_order(og)
+    assert not report.ok and report.order_violations == ("v", "w")
+    m = CKMono(fpath("a"), fpath("c"))
+    point = GroupoidPoint(ev((), ("a",)), 0, ev((), ("a",)))
+    for call in (
+        lambda: in_alg_n(og, m),
+        lambda: in_alg_n_oracle(og, m),
+        lambda: in_alg_n_oracle(og, m, 3),
+        lambda: point_in_spectrum_alg_n(og, point),
+        lambda: in_radical_spectrum(og, point),
+        lambda: level_atoms(og, 1),
+        lambda: nest_projection(og, 1, 1),
+        lambda: in_alg_n(og.graph, m),
+    ):
+        with pytest.raises(PreconditionError):
+            call()
+
