@@ -24,17 +24,14 @@ from .ckalg import (
     refine_children,
     _refine_to,
 )
-from .cocycle import LocallyConstantFn, TailedPair, eval_cocycle_tailed
+from .cocycle import LocallyConstantFn, _cocycle_pieces
 from .errors import BadInputError
 from .graph import underlying
-from .paths import FinPath, continuations, empty_path, path_range
-
-Cylinder = CKMono  # a basic set is indexed by the same (alpha, beta) data
+from .paths import FinPath, empty_path, path_range
 
 
 def cyl_contains(g, inner: CKMono, outer: CKMono) -> bool:
     """True iff the basic set of `inner` sits inside that of `outer`."""
-    g = underlying(g)
     t1 = path_tail_of(g, inner.alpha, outer.alpha)
     if t1 is None:
         return False
@@ -71,8 +68,7 @@ class SpectrumSet:
         raise AttributeError("SpectrumSet is immutable")
 
     @classmethod
-    def from_cylinders(cls, graph, cylinders) -> "SpectrumSet":
-        g = underlying(graph)
+    def from_cylinders(cls, g, cylinders) -> "SpectrumSet":
         work = set(cylinders)
         changed = True
         while changed:
@@ -126,7 +122,6 @@ def member(g, m: CKMono, spectrum: SpectrumSet) -> bool:
     of one degree are disjoint or nested: the piece itself or one of its
     ancestors.
     """
-    g = underlying(g)
     peers = {c for c in spectrum.cylinders if c.degree == m.degree}
     if not peers:
         return False
@@ -166,14 +161,8 @@ def ck_in_analytic(g, f: LocallyConstantFn, m: CKMono) -> bool:
     the function depth; the cocycle is constant on each refined piece and
     its value there is computable from the finite data alone.
     """
-    g = underlying(g)
     check_mono(g, m)
-    src = mono_source(g, m)
-    for w in continuations(g, src, f.depth):
-        value = eval_cocycle_tailed(f, TailedPair(m.alpha, m.beta, w))
-        if value < 0:
-            return False
-    return True
+    return all(value >= 0 for _, value in _cocycle_pieces(g, f, m))
 
 
 def spectrum_to_json_obj(s: SpectrumSet):
@@ -195,5 +184,5 @@ def spectrum_from_json_obj(g, obj) -> SpectrumSet:
     if not isinstance(obj, list):
         raise BadInputError("spectrum JSON must be a list")
     return SpectrumSet.from_cylinders(
-        g, [mono_from_json_obj(underlying(g), item) for item in obj]
+        g, [mono_from_json_obj(g, item) for item in obj]
     )

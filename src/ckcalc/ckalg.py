@@ -74,7 +74,6 @@ class CKMono:
 
 
 def check_mono(g, m: CKMono):
-    g = underlying(g)
     check_finpath(g, m.alpha)
     check_finpath(g, m.beta)
     if path_source(g, m.alpha) != path_source(g, m.beta):
@@ -82,7 +81,7 @@ def check_mono(g, m: CKMono):
 
 
 def mono_source(g, m: CKMono):
-    return path_source(underlying(g), m.alpha)
+    return path_source(g, m.alpha)
 
 
 def path_tail_of(g, whole: FinPath, prefix: FinPath):
@@ -91,7 +90,6 @@ def path_tail_of(g, whole: FinPath, prefix: FinPath):
     For an empty prefix the match requires range(whole) == anchor, which is
     the basic-set containment reading.
     """
-    g = underlying(g)
     if prefix.is_empty:
         if path_range(g, whole) != prefix.anchor:
             return None
@@ -122,7 +120,6 @@ def join_paths(left: FinPath, tail: FinPath) -> FinPath:
 
 def mono_product(g, m1: CKMono, m2: CKMono):
     """Product of two monomials: a single monomial or None (zero)."""
-    g = underlying(g)
     t = path_tail_of(g, m2.alpha, m1.beta)
     if t is not None:
         return CKMono(join_paths(m1.alpha, t), m2.beta)
@@ -134,7 +131,6 @@ def mono_product(g, m1: CKMono, m2: CKMono):
 
 def refine_children(g, m: CKMono):
     """One-step child expansion over the in-edges of the common source."""
-    g = underlying(g)
     src = mono_source(g, m)
     return [
         CKMono(FinPath(m.alpha.edges + (e.id,)), FinPath(m.beta.edges + (e.id,)))
@@ -291,27 +287,25 @@ def _mono_sort_key(m: CKMono):
 
 
 def element(g, pairs) -> AlgElement:
-    return AlgElement(underlying(g), pairs)
+    return AlgElement(g, pairs)
 
 
 def zero(g) -> AlgElement:
-    return AlgElement(underlying(g), ())
+    return AlgElement(g, ())
 
 
 def mono_element(g, m: CKMono, coeff=1) -> AlgElement:
     check_mono(g, m)
-    return AlgElement(underlying(g), [(m, as_gaussian(coeff))])
+    return AlgElement(g, [(m, as_gaussian(coeff))])
 
 
 def vertex_projection(g, v) -> AlgElement:
-    g = underlying(g)
     if v not in g.vertex_set:
         raise BadInputError("unknown vertex %r" % (v,))
     return AlgElement(g, [(CKMono(empty_path(v), empty_path(v)), as_gaussian(1))])
 
 
 def identity(g) -> AlgElement:
-    g = underlying(g)
     return AlgElement(
         g,
         [
@@ -322,20 +316,17 @@ def identity(g) -> AlgElement:
 
 
 def path_isometry(g, p: FinPath) -> AlgElement:
-    g = underlying(g)
     check_finpath(g, p)
     return mono_element(g, CKMono(p, empty_path(path_source(g, p))))
 
 
 def range_projection(g, p: FinPath) -> AlgElement:
-    g = underlying(g)
     check_finpath(g, p)
     return mono_element(g, CKMono(p, p))
 
 
 def diagonal_element(g, weighted_paths) -> AlgElement:
     """Sum of coeff * R_path over (path, coeff) pairs."""
-    g = underlying(g)
     pairs = []
     for p, c in weighted_paths:
         check_finpath(g, p)
@@ -403,34 +394,35 @@ def cylinders_disjoint(g, p: FinPath, q: FinPath) -> bool:
     return path_tail_of(g, p, q) is None and path_tail_of(g, q, p) is None
 
 
-def is_normalizing_pi(a: AlgElement) -> bool:
-    """Structural test: unimodular coefficients, orthogonal initial and
-    final projections across distinct terms."""
+def _overlapping_side(a: AlgElement):
+    """Which projections of the first overlapping pair of distinct terms
+    overlap: "initial" (beta) or "final" (alpha); None if none do."""
     monos = a.monomials()
-    for m in monos:
-        if a.terms[m].modulus_squared() != 1:
-            return False
     for i, m1 in enumerate(monos):
         for m2 in monos[i + 1:]:
             if not cylinders_disjoint(a.graph, m1.beta, m2.beta):
-                return False
+                return "initial"
             if not cylinders_disjoint(a.graph, m1.alpha, m2.alpha):
-                return False
-    return True
+                return "final"
+    return None
+
+
+def is_normalizing_pi(a: AlgElement) -> bool:
+    """Structural test: unimodular coefficients, orthogonal initial and
+    final projections across distinct terms."""
+    if any(c.modulus_squared() != 1 for c in a.terms.values()):
+        return False
+    return _overlapping_side(a) is None
 
 
 def restricted_norm(a: AlgElement) -> Fraction:
     """Norm of an orthogonal sum of scaled monomials: max coefficient modulus."""
     if a.is_zero():
         return Fraction(0)
-    monos = a.monomials()
-    for i, m1 in enumerate(monos):
-        for m2 in monos[i + 1:]:
-            if not cylinders_disjoint(a.graph, m1.beta, m2.beta):
-                raise UnsupportedNormError("initial projections overlap")
-            if not cylinders_disjoint(a.graph, m1.alpha, m2.alpha):
-                raise UnsupportedNormError("final projections overlap")
-    best = max(a.terms[m].modulus_squared() for m in monos)
+    side = _overlapping_side(a)
+    if side is not None:
+        raise UnsupportedNormError("%s projections overlap" % side)
+    best = max(c.modulus_squared() for c in a.terms.values())
     root = rational_sqrt(best)
     if root is None:
         raise UnsupportedNormError("norm is not rational")
@@ -464,7 +456,6 @@ def separating_projections(g, e: CKMono, k) -> SeparatingProjections:
     projections satisfy q (S_g M) p = q (M S_g) p = 0 for every path g with
     1 <= |g| <= k and every monomial M with equal path lengths <= k.
     """
-    g = underlying(g)
     check_mono(g, e)
     if len(e.alpha) != len(e.beta):
         raise PreconditionError("separating projections need equal path lengths")
@@ -495,7 +486,6 @@ def separating_projections(g, e: CKMono, k) -> SeparatingProjections:
 def af_compression_projections(g, e: CKMono, k):
     """Chain two separating-projection searches: the returned pair (p, q)
     compresses any bounded element to its degree-zero part, q a p = q phi_0(a) p."""
-    g = underlying(g)
     first = separating_projections(g, e, k)
     bridge = mono_product(g, first.p, e.adjoint())
     second = separating_projections(g, bridge, k)
@@ -556,7 +546,6 @@ def mono_from_json_obj(g, item) -> CKMono:
 
 
 def element_from_json_obj(g, obj) -> AlgElement:
-    g = underlying(g)
     if not isinstance(obj, list):
         raise BadInputError("element JSON must be a list of terms")
     pairs = []

@@ -184,13 +184,15 @@ def _validation_out(reports):
 
 
 def _phi(args):
-    if args.fn is not None:
-        if args.value is None:
-            raise BadInputError("grading by a function needs --value")
-        return cocycle.cocycle_graded_projection(args.fn, args.element, parse_rational(args.value))
-    if args.degree is None:
+    if args.degree is not None:
+        if args.fn is not None or args.value is not None:
+            raise BadInputError("--degree excludes --fn and --value")
+        return ckalg.phi_m(args.element, args.degree)
+    if args.fn is None:
         raise BadInputError("phi needs --degree, or --fn with --value")
-    return ckalg.phi_m(args.element, args.degree)
+    if args.value is None:
+        raise BadInputError("grading by a function needs --value")
+    return cocycle.cocycle_graded_projection(args.fn, args.element, parse_rational(args.value))
 
 
 def _oracle_out(result):

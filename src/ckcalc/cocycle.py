@@ -18,24 +18,25 @@ from fractions import Fraction
 from .errors import (
     BadInputError,
     InvalidFunctionError,
+    InvalidPointError,
     NotEqualizableError,
     PreconditionError,
     WindowTooShortError,
 )
-from .graph import max_simple_loop_length, strings_from_json_obj, underlying
+from .graph import max_simple_loop_length, strings_from_json_obj
 from .paths import (
     EvPath,
     FinPath,
     GroupoidPoint,
     all_finpaths,
     check_finpath,
+    continuations,
     empty_path,
     enumerate_evpaths,
     inverse,
     path_range,
     path_source,
     shift,
-    shift_n,
 )
 from .scalars import format_rational, rational_from_json_obj
 
@@ -94,7 +95,7 @@ class LocallyConstantFn:
 
 def validate_total(g, f: LocallyConstantFn):
     """Make sure every length-depth path of the graph has a table entry."""
-    for p in all_finpaths(underlying(g), f.depth):
+    for p in all_finpaths(g, f.depth):
         word = p.edges if not p.is_empty else ()
         if word not in f.table:
             raise InvalidFunctionError("table misses path %r" % (word,))
@@ -123,8 +124,16 @@ class TailedPair:
         return TailedPair(self.prefix_y, self.prefix_x, self.window)
 
 
-def _window_value(f, word, j):
-    return f.value_at(word[j: j + f.depth])
+def _telescope(f, xw, yw, k, stop) -> Fraction:
+    """sum_{j<k} f(x_j) + sum_{k<=j<stop} [f(x_j) - f(y_{j-k})], where x_j
+    is the depth-long window of the edge word xw starting at j."""
+    d = f.depth
+    total = Fraction(0)
+    for j in range(0, k):
+        total += f.value_at(xw[j: j + d])
+    for j in range(k, stop):
+        total += f.value_at(xw[j: j + d]) - f.value_at(yw[j - k: j - k + d])
+    return total
 
 
 def eval_cocycle_tailed(f: LocallyConstantFn, tp: TailedPair) -> Fraction:
@@ -138,34 +147,22 @@ def eval_cocycle_tailed(f: LocallyConstantFn, tp: TailedPair) -> Fraction:
         return -eval_cocycle_tailed(f, tp.swapped())
     xw = tp.prefix_x.edges + tp.window.edges
     yw = tp.prefix_y.edges + tp.window.edges
-    total = Fraction(0)
-    for j in range(0, k):
-        total += _window_value(f, xw, j)
-    for j in range(k, len(tp.prefix_x)):
-        total += _window_value(f, xw, j) - _window_value(f, yw, j - k)
-    return total
-
-
-def _shift_window(f, x: EvPath, j):
-    return tuple(x.edge_at(j + i) for i in range(1, f.depth + 1))
+    return _telescope(f, xw, yw, k, len(tp.prefix_x))
 
 
 def eval_cocycle(f: LocallyConstantFn, point: GroupoidPoint) -> Fraction:
-    """Exact cocycle value at an eventually periodic groupoid point."""
+    """Exact cocycle value at an eventually periodic groupoid point.
+
+    From index stop on, x and y agree k steps apart, so the tail vanishes.
+    """
     k = point.k
     if k < 0:
         return -eval_cocycle(f, inverse(point))
     x, y = point.x, point.y
-    stable_from = max(len(x.prefix) - k, len(y.prefix), 0) + 1
-    j_stop = stable_from + k - 1
-    total = Fraction(0)
-    for j in range(0, k):
-        total += f.value_at(_shift_window(f, x, j))
-    for j in range(k, j_stop):
-        total += f.value_at(_shift_window(f, x, j)) - f.value_at(
-            _shift_window(f, y, j - k)
-        )
-    return total
+    stop = max(len(x.prefix), len(y.prefix) + k, k)
+    return _telescope(
+        f, x.truncation(stop + f.depth), y.truncation(stop - k + f.depth), k, stop
+    )
 
 
 def reconstruct_f(g, f: LocallyConstantFn, max_prefix_len=None, max_cycle_len=None):
@@ -173,7 +170,6 @@ def reconstruct_f(g, f: LocallyConstantFn, max_prefix_len=None, max_cycle_len=No
 
     Returns (ok, failures) where failures lists (path, expected, got).
     """
-    g = underlying(g)
     if max_cycle_len is None:
         max_cycle_len = max(2, max_simple_loop_length(g))
     if max_prefix_len is None:
@@ -271,7 +267,6 @@ def _loop_check(g, p: FinPath, name):
 
 def equalize_loops(g, alpha: FinPath, beta: FinPath):
     """Bring two loops to a common base vertex and a common length."""
-    g = underlying(g)
     _loop_check(g, alpha, "alpha")
     _loop_check(g, beta, "beta")
     if path_range(g, alpha) != path_range(g, beta):
@@ -290,7 +285,6 @@ def integer_obstruction_witness(g, alpha: FinPath, beta: FinPath, ell) -> Obstru
     N = ell * k where k is the common loop length after equalization; the
     witness is x = a^ell a b a^ell b^inf against y = a^ell b a a^ell b^inf.
     """
-    g = underlying(g)
     if ell < 2:
         raise PreconditionError("multiplicity ell must be at least 2")
     alpha, beta = equalize_loops(g, alpha, beta)
@@ -307,24 +301,11 @@ def integer_obstruction_witness(g, alpha: FinPath, beta: FinPath, ell) -> Obstru
 
 def truncation_telescope_sum(f: LocallyConstantFn, x: EvPath, y: EvPath) -> Fraction:
     """Sum of f(S^n x) - f(S^n y) over n >= 0, exact once the shifts merge."""
-    bound = (
-        max(len(x.prefix), len(y.prefix))
-        + len(x.cycle) * len(y.cycle)
-        + 1
-    )
-    merge_at = None
-    for n in range(0, bound + 1):
-        if shift_n(x, n) == shift_n(y, n):
-            merge_at = n
-            break
-    if merge_at is None:
-        raise PreconditionError("paths never merge; the sum does not terminate")
-    total = Fraction(0)
-    for n in range(0, merge_at):
-        total += f.value_at(_shift_window(f, x, n)) - f.value_at(
-            _shift_window(f, y, n)
-        )
-    return total
+    try:
+        point = GroupoidPoint(x, 0, y)
+    except InvalidPointError:
+        raise PreconditionError("paths never merge; the sum does not terminate") from None
+    return eval_cocycle(f, point)
 
 
 @dataclass(frozen=True)
@@ -350,6 +331,13 @@ def is_z1_0_sampled(f: LocallyConstantFn, samples) -> Z10Report:
     return Z10Report(ok=not failures, failures=tuple(failures))
 
 
+def _cocycle_pieces(g, f: LocallyConstantFn, m):
+    """Refine the basic set of the monomial m by every continuation window w
+    of the function depth, yielding (w, the cocycle's value on that piece)."""
+    for w in continuations(g, path_source(g, m.alpha), f.depth):
+        yield w, eval_cocycle_tailed(f, TailedPair(m.alpha, m.beta, w))
+
+
 def cocycle_graded_projection(f: LocallyConstantFn, a, value) -> "AlgElement":
     """Part of an element supported where the cocycle equals the given value.
 
@@ -357,29 +345,17 @@ def cocycle_graded_projection(f: LocallyConstantFn, a, value) -> "AlgElement":
     the cocycle is constant on each refined piece, so the projection is an
     exact selection of pieces.  With f constant 1 this is the usual grading.
     """
-    from .ckalg import AlgElement, CKMono, mono_source
-    from .paths import continuations
+    from .ckalg import AlgElement, CKMono
 
     value = Fraction(value)
-    g = a.graph
     pairs = []
     for mono, coeff in a.terms.items():
-        src = mono_source(g, mono)
-        for w in continuations(g, src, f.depth):
-            piece_value = eval_cocycle_tailed(
-                f, TailedPair(mono.alpha, mono.beta, w)
-            )
+        src = path_source(a.graph, mono.alpha)
+        for w, piece_value in _cocycle_pieces(a.graph, f, mono):
             if piece_value == value:
-                pairs.append(
-                    (
-                        CKMono(
-                            join_word(mono.alpha, w, src),
-                            join_word(mono.beta, w, src),
-                        ),
-                        coeff,
-                    )
-                )
-    return AlgElement(g, pairs)
+                piece = CKMono(join_word(mono.alpha, w, src), join_word(mono.beta, w, src))
+                pairs.append((piece, coeff))
+    return AlgElement(a.graph, pairs)
 
 
 def join_word(p: FinPath, w: FinPath, src) -> FinPath:

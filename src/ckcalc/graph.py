@@ -85,30 +85,36 @@ class Graph:
         return self.edge(edge_id).source
 
     def __repr__(self):
-        return "Graph(%d vertices, %d edges)" % (len(self.vertices), len(self.edges))
+        return "%s(%d vertices, %d edges)" % (
+            type(self).__name__, len(self.vertices), len(self.edges))
 
 
-class OrderedGraph:
-    """Graph plus a total edge order whose in-edge sets are order intervals."""
+class OrderedGraph(Graph):
+    """Graph plus a total edge order whose in-edge sets are order intervals.
+
+    It is a Graph itself, built on the same vertices and edges; `graph` keeps
+    the plain Graph it was made from, which elements and spectra pin.
+    """
 
     def __init__(self, graph: Graph, order):
+        super().__init__(graph.vertices, graph.edges)
         self.graph = graph
         self.order = tuple(order)
         self.position = {}
         for i, eid in enumerate(self.order):
-            if eid not in graph.edge_by_id:
+            if eid not in self.edge_by_id:
                 raise InvalidGraphError("order mentions unknown edge %r" % eid)
             if eid in self.position:
                 raise InvalidGraphError("order repeats edge %r" % eid)
             self.position[eid] = i
-        if len(self.order) != len(graph.edges):
+        if len(self.order) != len(self.edges):
             raise InvalidGraphError("order must list every edge exactly once")
         # Vertices whose in-edges are not an interval of the order.  They are
         # recorded, not rejected, so validate_order can report them; the nest
         # layer refuses to work unless `adapted`.
         bad = []
-        for v in sorted(graph.vertices):
-            positions = sorted(self.position[e.id] for e in graph.in_edges(v))
+        for v in sorted(self.vertices):
+            positions = sorted(self.position[e.id] for e in self.in_edges(v))
             if positions and positions != list(range(positions[0], positions[-1] + 1)):
                 bad.append(v)
         self.order_violations = tuple(bad)
@@ -125,23 +131,17 @@ class OrderedGraph:
         assumption) sort after all others, by id.
         """
         if self._vertex_pos is None:
-            vp = {}
-            sourceless = sorted(
-                u for u in self.graph.vertices if not self.graph.in_edges(u)
-            )
-            for u in self.graph.vertices:
-                ins = self.graph.in_edges(u)
+            vp = {u: (1, j) for j, u in enumerate(self.sources)}
+            for u in self.vertices:
+                ins = self.in_edges(u)
                 if ins:
                     vp[u] = (0, min(self.position[e.id] for e in ins))
-            for j, u in enumerate(sourceless):
-                vp[u] = (1, j)
             self._vertex_pos = vp
         return self._vertex_pos[v]
 
 
 def validate(graph: Graph) -> ValidationReport:
     """Report vertices violating no-sources and isolated vertices."""
-    graph = underlying(graph)
     isolated = tuple(v for v in graph.sources if not graph.out_edges(v))
     return ValidationReport(
         ok=not graph.sources,
@@ -190,7 +190,6 @@ def _has_cycle(graph: Graph, edges):
 
 def has_loop(graph: Graph) -> bool:
     """True iff the graph contains a directed cycle."""
-    graph = underlying(graph)
     return _has_cycle(graph, graph.edges)
 
 
@@ -200,14 +199,12 @@ def every_loop_has_entrance(graph: Graph) -> bool:
     A cycle with no entrance is exactly a cycle in the subgraph of edges
     whose range vertex has total in-degree one.
     """
-    graph = underlying(graph)
     narrow = [e for e in graph.edges if len(graph.in_edges(e.range)) == 1]
     return not _has_cycle(graph, narrow)
 
 
 def is_transitive(graph: Graph) -> bool:
     """True iff every ordered pair of distinct vertices is path-connected."""
-    graph = underlying(graph)
     arcs = _step_arcs(graph, graph.edges)
     for v in graph.vertices:
         seen = set()
@@ -230,7 +227,6 @@ def simple_cycles(graph: Graph):
     source(e[n]) == range(e[1]); the visited vertices range(ei) are distinct.
     Rotations are deduplicated by rooting each cycle at its smallest vertex.
     """
-    graph = underlying(graph)
     out = []
     roots = sorted(graph.vertices)
     for root in roots:
@@ -292,16 +288,15 @@ def graph_from_json_obj(obj):
 
 
 def graph_to_json_obj(g):
-    if isinstance(g, OrderedGraph):
-        base = graph_to_json_obj(g.graph)
-        base["order"] = list(g.order)
-        return base
-    return {
+    obj = {
         "vertices": list(g.vertices),
         "edges": [
             {"id": e.id, "range": e.range, "source": e.source} for e in g.edges
         ],
     }
+    if isinstance(g, OrderedGraph):
+        obj["order"] = list(g.order)
+    return obj
 
 
 def underlying(g) -> Graph:

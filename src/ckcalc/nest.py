@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 from .ckalg import AlgElement, CKMono, check_mono, mono_source, path_tail_of
 from .errors import BadInputError, OutOfRangeError, PreconditionError
-from .graph import OrderedGraph, max_simple_loop_length, underlying
+from .graph import OrderedGraph, max_simple_loop_length
 from .paths import (
     FinPath,
     GroupoidPoint,
@@ -64,7 +64,7 @@ def nest_projection(og: OrderedGraph, level, cutpos) -> AlgElement:
             "cut %d outside 0..%d at level %d" % (cutpos, len(atoms), level)
         )
     pairs = [(CKMono(p, p), 1) for p in atoms[:cutpos]]
-    return AlgElement(underlying(og), pairs)
+    return AlgElement(og, pairs)
 
 
 def _head(og, p: FinPath, length) -> FinPath:
@@ -127,10 +127,9 @@ def in_alg_n_oracle(og: OrderedGraph, m: CKMono, level_bound=None):
         level_bound = default_level_bound(og, m)
     elif level_bound < 0:
         raise BadInputError("level bound must be nonnegative")
-    g = underlying(og)
-    src = mono_source(g, m)
-    ra = path_range(g, m.alpha)
-    rb = path_range(g, m.beta)
+    src = mono_source(og, m)
+    ra = path_range(og, m.alpha)
+    rb = path_range(og, m.beta)
     for level in range(0, level_bound + 1):
         if level == 0:
             if og.vertex_pos(ra) > og.vertex_pos(rb):
@@ -140,7 +139,7 @@ def in_alg_n_oracle(og: OrderedGraph, m: CKMono, level_bound=None):
                 return False, NestViolation(0, cut, empty_path(ra), col_path)
             continue
         depth = max(0, level - min(len(m.alpha), len(m.beta)))
-        for w in continuations(g, src, depth):
+        for w in continuations(og, src, depth):
             row = (m.alpha.edges + w.edges)[:level]
             col = (m.beta.edges + w.edges)[:level]
             if _atom_key(og, row, None) > _atom_key(og, col, None):

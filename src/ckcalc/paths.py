@@ -25,7 +25,7 @@ from .errors import (
     LengthMismatchError,
     NotComposableError,
 )
-from .graph import Graph, OrderedGraph, strings_from_json_obj, underlying
+from .graph import OrderedGraph, strings_from_json_obj
 
 
 @dataclass(frozen=True)
@@ -72,7 +72,6 @@ def empty_path(vertex) -> FinPath:
 
 def check_finpath(g, p: FinPath):
     """Raise InvalidPathError unless p is a path of g."""
-    g = underlying(g)
     if p.is_empty:
         if p.anchor not in g.vertex_set:
             raise InvalidPathError("anchor %r is not a vertex" % p.anchor)
@@ -85,18 +84,15 @@ def check_finpath(g, p: FinPath):
 
 
 def path_range(g, p: FinPath):
-    g = underlying(g)
     return p.anchor if p.is_empty else g.range_of(p.edges[0])
 
 
 def path_source(g, p: FinPath):
-    g = underlying(g)
     return p.anchor if p.is_empty else g.source_of(p.edges[-1])
 
 
 def concat(g, a: FinPath, b: FinPath) -> FinPath:
     """a followed by b; requires source(a) == range(b)."""
-    g = underlying(g)
     if path_source(g, a) != path_range(g, b):
         raise ComposeMismatchError(
             "cannot concatenate: source %r != range %r"
@@ -108,7 +104,6 @@ def concat(g, a: FinPath, b: FinPath) -> FinPath:
 
 
 def append_edge(g, p: FinPath, edge_id) -> FinPath:
-    g = underlying(g)
     e = g.edge(edge_id)
     if e.range != path_source(g, p):
         raise ComposeMismatchError(
@@ -171,7 +166,6 @@ def ev(prefix, cycle) -> EvPath:
 
 
 def check_evpath(g, x: EvPath):
-    g = underlying(g)
     for eid in x.prefix + x.cycle:
         g.edge(eid)
     word = list(x.prefix) + list(x.cycle) + [x.cycle[0]]
@@ -181,7 +175,6 @@ def check_evpath(g, x: EvPath):
 
 
 def ev_range(g, x: EvPath):
-    g = underlying(g)
     return g.range_of(x.edge_at(1))
 
 
@@ -291,7 +284,6 @@ def lex_compare(x, y, og: OrderedGraph) -> int:
 
 def continuations(g, v, length):
     """All paths of the given length whose range is v, in edge-list order."""
-    g = underlying(g)
     acc = [()]
     cur_sources = [v]
     for _ in range(length):
@@ -308,7 +300,6 @@ def continuations(g, v, length):
 
 def all_finpaths(g, length):
     """All paths of the given length, grouped by range vertex in vertex order."""
-    g = underlying(g)
     out = []
     for v in sorted(g.vertices):
         out.extend(continuations(g, v, length))
@@ -321,7 +312,6 @@ def paths_with_source(g, v, length):
 
 def primitive_loops(g, max_len):
     """All primitive loops (range == source, not a proper power), length <= max_len."""
-    g = underlying(g)
     out = []
     for n in range(1, max_len + 1):
         for p in all_finpaths(g, n):
@@ -340,7 +330,6 @@ def primitive_loops(g, max_len):
 
 def enumerate_evpaths(g, max_prefix_len, max_cycle_len):
     """All canonical eventually periodic paths within the given size bounds."""
-    g = underlying(g)
     seen = set()
     out = []
     for loop in primitive_loops(g, max_cycle_len):
@@ -357,7 +346,6 @@ def enumerate_evpaths(g, max_prefix_len, max_cycle_len):
 
 def some_tail_from(g, v) -> EvPath:
     """A deterministic infinite path with range v (first in-edge walk)."""
-    g = underlying(g)
     walk = []
     first_seen = {v: 0}
     cur = v
@@ -376,7 +364,6 @@ def some_tail_from(g, v) -> EvPath:
 
 def in_cylinder(g, x: EvPath, alpha: FinPath) -> bool:
     """True iff x starts with alpha (empty alpha: range match)."""
-    g = underlying(g)
     if alpha.is_empty:
         return ev_range(g, x) == alpha.anchor
     return x.truncation(len(alpha)) == alpha.edges
@@ -384,7 +371,6 @@ def in_cylinder(g, x: EvPath, alpha: FinPath) -> bool:
 
 def point_in_Z(g, point: GroupoidPoint, alpha: FinPath, beta: FinPath) -> bool:
     """Membership of (x,k,y) in the basic set determined by (alpha, beta)."""
-    g = underlying(g)
     if point.k != len(alpha) - len(beta):
         return False
     if not in_cylinder(g, point.x, alpha) or not in_cylinder(g, point.y, beta):

@@ -1,15 +1,18 @@
 """Shared builders for randomized tests.
 
 Every random object is drawn from a caller-supplied random.Random so each
-test controls its own seed and stays reproducible.
+test controls its own seed and stays reproducible.  Random graphs come from
+the hypothesis strategy small_ordered_graphs.
 """
 
 import random
 from fractions import Fraction
 
+from hypothesis import strategies as st
+
 from ckcalc.ckalg import AlgElement, CKMono
 from ckcalc.cocycle import LocallyConstantFn
-from ckcalc.graph import underlying
+from ckcalc.graph import Edge, Graph, OrderedGraph, underlying
 from ckcalc.paths import (
     GroupoidPoint,
     all_finpaths,
@@ -70,10 +73,10 @@ def rand_diagonal(g, rng, n_terms=2, max_len=2):
     return AlgElement(g, pairs)
 
 
-def rand_point(g, rng, max_side=3):
+def rand_point(g, rng, max_side=3, max_cycle=2):
     """A random groupoid point built from a shared eventually periodic tail."""
     g = underlying(g)
-    tails = enumerate_evpaths(g, 2, 2)
+    tails = enumerate_evpaths(g, 2, max_cycle)
     z = rng.choice(tails)
     v = ev_range(g, z)
     m = rng.randint(0, max_side)
@@ -93,3 +96,20 @@ def rand_fn(g, rng, depth):
     if depth == 0:
         table = {(): rand_rational(rng)}
     return LocallyConstantFn(depth, table)
+
+
+@st.composite
+def small_ordered_graphs(draw, max_vertices=4):
+    """An OrderedGraph with at most max_vertices vertices, each the range of
+    one or two edges (so there are no sources), and an adapted order: the
+    blocks of in-edges, and the edges inside each block, are shuffled."""
+    vertices = ["v%d" % i for i in range(draw(st.integers(1, max_vertices)))]
+    blocks = {}
+    for v in vertices:
+        sources = draw(st.lists(st.sampled_from(vertices), min_size=1, max_size=2))
+        blocks[v] = [Edge("e%s%d" % (v[1:], i), v, s) for i, s in enumerate(sources)]
+    order = []
+    for v in draw(st.permutations(vertices)):
+        order.extend(draw(st.permutations([e.id for e in blocks[v]])))
+    edges = [e for v in vertices for e in blocks[v]]
+    return OrderedGraph(Graph(vertices, edges), order)

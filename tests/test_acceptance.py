@@ -7,6 +7,9 @@ data is drawn from fixed seeds so failures reproduce byte for byte.
 from collections import Counter
 from fractions import Fraction
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from ckcalc.bimodule import bimodule_member
 from ckcalc.ckalg import (
     AlgElement,
@@ -37,7 +40,13 @@ from ckcalc.cocycle import (
     truncation_telescope_sum,
 )
 from ckcalc.graph import every_loop_has_entrance, max_simple_loop_length, underlying
-from ckcalc.nest import commutator, in_alg_n, in_alg_n_oracle, point_in_spectrum_alg_n
+from ckcalc.nest import (
+    commutator,
+    in_alg_n,
+    in_alg_n_oracle,
+    nest_projection,
+    point_in_spectrum_alg_n,
+)
 from ckcalc.paths import (
     FinPath,
     GroupoidPoint,
@@ -52,6 +61,7 @@ from ckcalc.paths import (
     paths_with_source,
     point_in_Z,
     prepend,
+    shift_n,
 )
 from ckcalc.scalars import GaussianRational
 
@@ -64,6 +74,7 @@ from helpers import (
     rand_element,
     rand_fn,
     rand_point,
+    small_ordered_graphs,
 )
 
 ZERO_C = GaussianRational(0, 0)
@@ -475,3 +486,83 @@ def test_criterion_13_spectral_closure(o2, e2, single_loop):
     projection = vertex_projection(g, "v")
     assert evaluate(projection, unit) != evaluate(projection, hop)
     assert bimodule_member(projection, [generator])
+
+
+# Criteria 01, 02, 04, 05 and 07 again, on random graphs with at most four
+# vertices, no sources and an adapted order.  Each graph is an OrderedGraph
+# and is passed as such to every layer.  Path lengths stay at most 2, since
+# refinement and the oracle's level scan grow exponentially with them.
+small_graph_settings = settings(
+    max_examples=12, deadline=None, derandomize=True, database=None
+)
+graph_and_rng = (small_ordered_graphs(), st.integers(0, 2**32).map(make_rng))
+
+
+def _small_point(og, rng):
+    return rand_point(og, rng, max_side=2, max_cycle=len(og.vertices))
+
+
+@small_graph_settings
+@given(*graph_and_rng)
+def test_random_graphs_ck_relation_and_rewrite_soundness(og, rng):
+    for e in og.edges:
+        s_e = path_isometry(og, fpath(e.id))
+        back = zero(og)
+        for f in og.in_edges(e.source):
+            back = back + range_projection(og, fpath(f.id))
+        assert (s_e.adjoint() * s_e - back).is_zero(), e.id
+    monos = all_monos(og, 2)
+    for _ in range(10):
+        pairs = [(rng.choice(monos), rand_coeff(rng)) for _ in range(rng.randint(1, 10))]
+        point = _small_point(og, rng)
+        raw = sum(
+            (c for m, c in pairs if point_in_Z(og, point, m.alpha, m.beta)), ZERO_C
+        )
+        elem = AlgElement(og, pairs)
+        assert evaluate(elem, point) == raw
+        assert evaluate(normalize(elem, beta_depth=3), point) == raw
+
+
+@small_graph_settings
+@given(*graph_and_rng)
+def test_random_graphs_nest_predicate_and_spectrum(og, rng):
+    for m in all_monos(og, 2):
+        assert in_alg_n(og, m)[0] == in_alg_n_oracle(og, m)[0], m
+    for _ in range(10):
+        point = _small_point(og, rng)
+        claimed, _ = point_in_spectrum_alg_n(og, point)
+        assert claimed == _covered_by_alg_n_mono(og, point), point
+
+
+@small_graph_settings
+@given(*graph_and_rng)
+def test_random_graphs_cocycle_laws(og, rng):
+    one = LocallyConstantFn.constant(1)
+    fns = [one] + [rand_fn(og, rng, d) for d in (0, 1, 2)]
+    for f in fns:
+        first = _small_point(og, rng)
+        n = rng.randint(0, 2)
+        tail = shift_n(first.y, n)
+        v = ev_range(og, tail)
+        head = rng.choice([p for j in range(3) for p in paths_with_source(og, v, j)])
+        second = GroupoidPoint(first.y, n - len(head), prepend(head, tail))
+        whole = compose(first, second)
+        assert eval_cocycle(f, first) + eval_cocycle(f, second) == eval_cocycle(f, whole)
+        assert eval_cocycle(f, first) == -eval_cocycle(f, inverse(first))
+        assert eval_cocycle(one, whole) == whole.k
+    for f in fns:
+        ok, failures = reconstruct_f(og, f)
+        assert ok and failures == []
+
+
+@small_graph_settings
+@given(*graph_and_rng)
+def test_random_graphs_mix_ordered_and_plain_elements(og, rng):
+    """Elements built over the OrderedGraph and over its plain graph, and
+    nest projections, all live over one graph and combine."""
+    over_og = rand_element(og, rng, 3, 2)
+    over_plain = rand_element(og.graph, rng, 3, 2)
+    projection = nest_projection(og, 1, rng.randint(0, len(og.edges)))
+    for a, b in ((over_og, over_plain), (projection, over_og), (projection, over_plain)):
+        assert (a + b) - b == a
+        assert a * b - b * a == commutator(a, b)

@@ -126,6 +126,17 @@ def test_phi_modes(ws, capsys):
         capsys, ["phi", "--graph", ws["o2"], "--element", ws["sa"], "--fn", ws["one"]]
     )
     assert code == 1 and out["error"]["code"] == "bad_input"
+    code, out = run(
+        capsys,
+        ["phi", "--graph", ws["o2"], "--element", ws["sa"], "--degree", "0",
+         "--fn", ws["one"], "--value", "1"],
+    )
+    assert code == 1 and out["error"]["code"] == "bad_input"
+    code, out = run(
+        capsys,
+        ["phi", "--graph", ws["o2"], "--element", ws["sa"], "--degree", "1", "--value", "3"],
+    )
+    assert code == 1 and out["error"]["code"] == "bad_input"
 
 
 def test_gauge(ws, capsys):

@@ -61,6 +61,14 @@ def test_order_must_cover_edges_once(o2):
         OrderedGraph(g, ["a", "b", "zz"])
 
 
+def test_ordered_graph_is_its_graph_with_an_order(e2):
+    assert issubclass(OrderedGraph, Graph)
+    g = underlying(e2)
+    assert e2.graph is g
+    assert (e2.vertices, e2.edges, e2.sources) == (g.vertices, g.edges, g.sources)
+    assert all(e2.in_edges(v) == g.in_edges(v) for v in g.vertices)
+
+
 def test_validate_order_interval_property(e2):
     assert validate_order(e2).ok
     scrambled = OrderedGraph(underlying(e2), ["c", "d", "h"])
