@@ -342,6 +342,8 @@ def mul_mono(g, m1: CKMono, m2: CKMono) -> AlgElement:
 
 
 def normalize(a: AlgElement, beta_depth=None) -> AlgElement:
+    if beta_depth is not None and beta_depth < 0:
+        raise BadInputError("beta depth must be nonnegative")
     return AlgElement(a.graph, list(a.terms.items()), beta_depth)
 
 

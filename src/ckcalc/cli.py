@@ -9,11 +9,15 @@ Rationals are rendered "p/q", never as floats.  Exit codes: 0 success,
 The subcommands are the rows of COMMANDS.  A row lists its inputs; an input
 declares its flags and how their parsed text becomes a ready object.  The
 parser, the loading and the output of every subcommand follow from the table.
+The parser is built on the first main() call and shared by every later call
+in the process, so main(argv) may be called repeatedly; that shared parser
+must not be mutated.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from collections import namedtuple
@@ -288,7 +292,13 @@ COMMANDS = (
 )
 
 
+@functools.cache
 def build_parser():
+    """The ckcalc parser, built on the first call and shared by every later one.
+
+    Callers must not mutate it: parse_args returns a fresh Namespace each
+    time, and the loaders write only to that.
+    """
     ap = argparse.ArgumentParser(
         prog="ckcalc",
         description="Exact symbolic calculator for graph-algebra path combinatorics.",

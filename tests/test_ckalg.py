@@ -109,6 +109,8 @@ def test_normalize_beta_depth(o2):
     assert deep == a
     assert all(len(m.beta) == 2 for m in deep.monomials())
     assert normalize(deep) == a
+    with pytest.raises(BadInputError):
+        normalize(a, beta_depth=-1)
 
 
 def test_zero_detection(o2):

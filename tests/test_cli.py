@@ -95,6 +95,11 @@ def test_normalize_depth(ws, capsys):
         {"alpha": ["a", "a"], "beta": ["a"], "anchor": "v", "re": "1", "im": "0"},
         {"alpha": ["a", "b"], "beta": ["b"], "anchor": "v", "re": "1", "im": "0"},
     ]
+    code, out = run(
+        capsys,
+        ["normalize", "--graph", ws["o2"], "--element", ws["sa"], "--depth", "-1"],
+    )
+    assert code == 1 and out["error"]["code"] == "bad_input"
 
 
 def test_mul(ws, capsys):
@@ -378,6 +383,27 @@ def test_deterministic_output(ws, capsys):
     main(argv)
     second = capsys.readouterr().out
     assert first == second
+
+
+def test_main_reuses_one_parser(ws, capsys):
+    assert build_parser() is build_parser()
+    by_fn = ["phi", "--graph", ws["o2"], "--element", ws["sa"], "--fn", ws["one"], "--value", "0"]
+    assert main(by_fn) == 0
+    first = capsys.readouterr().out
+    # A value parsed by the previous call must not leak into this one.
+    code, out = run(
+        capsys, ["phi", "--graph", ws["o2"], "--element", ws["sa"], "--degree", "0"]
+    )
+    assert code == 0 and out["element"] == []
+    with pytest.raises(SystemExit) as exc:
+        main(["phi", "--graph", ws["o2"], "--degree", "zero"])
+    assert exc.value.code == 2
+    with pytest.raises(SystemExit) as exc:
+        main(["phi", "--help"])
+    assert exc.value.code == 0
+    assert "--degree" in capsys.readouterr().out
+    assert main(by_fn) == 0
+    assert capsys.readouterr().out == first
 
 
 def test_missing_file_is_domain_error(ws, capsys):
