@@ -41,7 +41,6 @@ from .graph import (
     has_loop,
     is_transitive,
     max_simple_loop_length,
-    simple_cycles,
     underlying,
     validate,
     validate_order,

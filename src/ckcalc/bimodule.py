@@ -23,6 +23,7 @@ from .ckalg import (
     path_tail_of,
     refine_children,
     _refine_to,
+    _same_graph,
 )
 from .cocycle import LocallyConstantFn, _cocycle_pieces
 from .errors import BadInputError
@@ -150,6 +151,7 @@ def generated_spectrum(gens) -> SpectrumSet:
 def bimodule_member(a: AlgElement, gens) -> bool:
     """Whether a lies in the closed diagonal bimodule the generators span."""
     spectrum = generated_spectrum(gens)
+    _same_graph(a, spectrum)
     return all(member(a.graph, m, spectrum) for m in a.monomials())
 
 

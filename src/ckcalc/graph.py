@@ -220,37 +220,31 @@ def is_transitive(graph: Graph) -> bool:
     return True
 
 
-def simple_cycles(graph: Graph):
-    """All vertex-simple directed cycles, as tuples of edge ids.
-
-    A cycle e1..en satisfies source(e[i]) == range(e[i+1]) and
-    source(e[n]) == range(e[1]); the visited vertices range(ei) are distinct.
-    Rotations are deduplicated by rooting each cycle at its smallest vertex.
-    """
-    out = []
-    roots = sorted(graph.vertices)
-    for root in roots:
-        stack = [((eid,), graph.source_of(eid)) for eid in sorted(
-            e.id for e in graph.in_edges(root))]
-        while stack:
-            path, cur = stack.pop()
-            if cur == root:
-                out.append(path)
-                continue
-            if cur < root:
-                continue
-            visited = {root, cur} | {graph.range_of(e) for e in path}
-            for e in graph.in_edges(cur):
-                nxt = graph.source_of(e.id)
-                if nxt == root or nxt not in visited:
-                    stack.append((path + (e.id,), nxt))
-    return sorted(out, key=lambda c: (len(c), c))
-
-
 def max_simple_loop_length(graph: Graph) -> int:
-    """Length of the longest vertex-simple cycle; 1 for loop-free graphs."""
-    cycles = simple_cycles(graph)
-    return max((len(c) for c in cycles), default=1)
+    """Length of the longest vertex-simple cycle; 1 for loop-free graphs.
+
+    Depth-first from each root, stepping only to larger vertices off the
+    path, so each cycle is met once, from its smallest vertex; only lengths
+    are kept.  Exponential in the worst case: a longest cycle is NP-hard.
+    """
+    arcs = _step_arcs(graph, graph.edges)
+    best = 1
+    for root in sorted(graph.vertices):
+        path, frames = [root], [iter(arcs[root])]
+        while frames:
+            for w in frames[-1]:
+                if w == root:
+                    best = max(best, len(frames))
+                    if best == len(graph.vertices):
+                        return best
+                elif w > root and w not in path:
+                    path.append(w)
+                    frames.append(iter(arcs[w]))
+                    break
+            else:
+                frames.pop()
+                path.pop()
+    return best
 
 
 def strings_from_json_obj(obj, what) -> tuple:

@@ -29,13 +29,16 @@ from .paths import (
 )
 
 
-def _not_adapted(og):
+def _check_nest_graph(og):
+    """Raise unless og is an OrderedGraph with an adapted order and no sources."""
     if not isinstance(og, OrderedGraph):
-        return PreconditionError("the nest layer needs a graph with an edge order")
-    return PreconditionError(
-        "edge order is not adapted: in-edges of %s are not an interval"
-        % ", ".join(og.order_violations)
-    )
+        raise PreconditionError("the nest layer needs a graph with an edge order")
+    if not og.adapted:
+        raise PreconditionError("edge order is not adapted: in-edges of %s are not an "
+                                "interval" % ", ".join(og.order_violations))
+    if og.sources:
+        raise PreconditionError("the nest layer needs a graph without sources; %s is "
+                                "the range of no edge" % ", ".join(og.sources))
 
 
 def _atom_key(og: OrderedGraph, word, anchor):
@@ -47,8 +50,7 @@ def _atom_key(og: OrderedGraph, word, anchor):
 
 def level_atoms(og: OrderedGraph, level):
     """All length-`level` paths, smallest first in the level order."""
-    if not getattr(og, "adapted", False):
-        raise _not_adapted(og)
+    _check_nest_graph(og)
     if level < 0:
         raise BadInputError("level must be nonnegative")
     atoms = all_finpaths(og, level)
@@ -75,8 +77,7 @@ def _head(og, p: FinPath, length) -> FinPath:
 
 def in_alg_n(og: OrderedGraph, m: CKMono):
     """Five-clause membership test; returns (member, clause name or None)."""
-    if not getattr(og, "adapted", False):
-        raise _not_adapted(og)
+    _check_nest_graph(og)
     check_mono(og, m)
     a, b = m.alpha, m.beta
     if len(a) == len(b) and lex_compare(a, b, og) <= 0:
@@ -120,8 +121,7 @@ def in_alg_n_oracle(og: OrderedGraph, m: CKMono, level_bound=None):
     pair has row after col, which is the same as passing every initial-
     segment projection.  Returns (member, violation or None).
     """
-    if not getattr(og, "adapted", False):
-        raise _not_adapted(og)
+    _check_nest_graph(og)
     check_mono(og, m)
     if level_bound is None:
         level_bound = default_level_bound(og, m)
@@ -158,8 +158,7 @@ def point_in_spectrum_alg_n(og: OrderedGraph, point: GroupoidPoint):
     (k > 0) or s-maximal (k < 0); all cycle rotations are candidate blocks.
     Returns (member, clause name or None).
     """
-    if not getattr(og, "adapted", False):
-        raise _not_adapted(og)
+    _check_nest_graph(og)
     x, k, y = point.x, point.k, point.y
     cmp = lex_compare(x, y, og)
     if cmp < 0:

@@ -34,6 +34,7 @@ from ckcalc.paths import (
     some_tail_from,
 )
 
+from conftest import build_graph
 from helpers import all_monos, make_rng, rand_element
 
 
@@ -154,6 +155,13 @@ def test_bimodule_member_basics(o2):
     assert not bimodule_member(path_isometry(o2, fpath("b")), gens)
     assert not bimodule_member(path_isometry(o2, fpath("a")).adjoint(), gens)
     assert bimodule_member(vertex_projection(o2, "v") - vertex_projection(o2, "v"), gens)
+
+
+def test_bimodule_member_rejects_generators_over_another_graph(o2):
+    twin = build_graph(["v"], [("a", "v", "v"), ("b", "v", "v")], order=["a", "b"])
+    gens = [path_isometry(twin, fpath("a"))]
+    with pytest.raises(BadInputError, match="different graphs"):
+        bimodule_member(path_isometry(o2, fpath("a")), gens)
 
 
 def test_bimodule_member_closed_under_refinement(o2, e2):

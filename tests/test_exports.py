@@ -27,7 +27,7 @@ EXPORTS = {
     "parse_rational", "path_isometry", "path_range", "path_source", "phi_m",
     "point_in_Z", "point_in_spectrum_alg_n", "prepend", "primitive_loops",
     "range_projection", "reconstruct_f", "restricted_norm",
-    "separating_projections", "shift", "shift_n", "sim_k", "simple_cycles",
+    "separating_projections", "shift", "shift_n", "sim_k",
     "support_spectrum", "underlying", "validate", "validate_order",
     "vertex_projection", "zero",
 }

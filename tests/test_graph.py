@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 
 from ckcalc.errors import BadInputError, InvalidGraphError
@@ -11,13 +13,13 @@ from ckcalc.graph import (
     has_loop,
     is_transitive,
     max_simple_loop_length,
-    simple_cycles,
     underlying,
     validate,
     validate_order,
 )
 
 from conftest import build_graph
+from helpers import make_rng
 
 
 def test_validate_accepts_no_source_graphs(o2, c2, loop3, loop3e, e2):
@@ -104,17 +106,14 @@ def test_is_transitive(o2, loop3, e2):
 
 
 def test_simple_cycles_o2(o2):
-    assert simple_cycles(o2) == [("a",), ("b",)]
     assert max_simple_loop_length(o2) == 1
 
 
 def test_simple_cycles_loop3(loop3):
-    assert simple_cycles(loop3) == [("e1", "e2", "e3")]
     assert max_simple_loop_length(loop3) == 3
 
 
 def test_simple_cycles_e2(e2):
-    assert simple_cycles(e2) == [("h",), ("c", "d")]
     assert max_simple_loop_length(e2) == 2
 
 
@@ -123,6 +122,39 @@ def test_max_simple_loop_length_defaults_to_one():
     # through the helper contract on a graph whose only cycle has length 1.
     g = build_graph(["v"], [("a", "v", "v")])
     assert max_simple_loop_length(g) == 1
+
+
+def _longest_cycle_by_permutations(g):
+    """Reference: the most vertices an ordering can visit and close, or 1."""
+    arcs = {(e.range, e.source) for e in g.edges}
+    return max(
+        (k for k in range(1, len(g.vertices) + 1)
+         for cycle in itertools.permutations(g.vertices, k)
+         if all((cycle[i - 1], cycle[i]) in arcs for i in range(k))),
+        default=1,
+    )
+
+
+def test_max_simple_loop_length_matches_permutation_search():
+    rng = make_rng(17)
+    kinds = set()
+    for _ in range(400):
+        names = rng.sample("abcde", rng.randint(1, 5))
+        loop_free = rng.random() < 0.25
+        triples = []
+        for j in range(rng.randint(0, 12)):
+            r, s = rng.randrange(len(names)), rng.randrange(len(names))
+            if not loop_free or r < s:
+                triples.append(("e%d" % j, names[r], names[s]))
+        g = build_graph(names, triples)
+        kinds.add((bool(g.sources), has_loop(g)))
+        assert max_simple_loop_length(g) == _longest_cycle_by_permutations(g), triples
+    assert kinds == {(False, True), (True, True), (True, False)}
+    for n in (8, 9):
+        names = ["v%d" % i for i in range(n)]
+        pairs = [(u, w) for u in names for w in names if u != w]
+        complete = build_graph(names, [("%s%s" % p, *p) for p in pairs])
+        assert max_simple_loop_length(complete) == n
 
 
 def test_json_round_trip(o2, c2):

@@ -235,3 +235,21 @@ def test_nest_layer_rejects_non_adapted_order():
         with pytest.raises(PreconditionError):
             call()
 
+
+def test_nest_layer_rejects_sources():
+    # The order is adapted, but u is the range of no edge.
+    og = build_graph(["u", "v"], [("a", "v", "v"), ("f", "v", "u")], order=["a", "f"])
+    assert og.adapted and og.sources == ("u",)
+    m = CKMono(fpath("f"), empty_path("u"))
+    point = GroupoidPoint(ev((), ("a",)), 0, ev((), ("a",)))
+    for call in (
+        lambda: in_alg_n(og, m),
+        lambda: in_alg_n_oracle(og, m),
+        lambda: in_alg_n_oracle(og, m, 3),
+        lambda: point_in_spectrum_alg_n(og, point),
+        lambda: in_radical_spectrum(og, point),
+        lambda: level_atoms(og, 1),
+        lambda: nest_projection(og, 1, 1),
+    ):
+        with pytest.raises(PreconditionError, match="u is the range of no edge"):
+            call()
