@@ -2,13 +2,18 @@
 
 An element is a finite linear combination of monomials (alpha, beta) of
 finite paths with a common source, with exact Gaussian-rational
-coefficients.  The stored form is canonical per degree: every monomial of
-degree m is refined, via the child expansion that replaces (alpha, beta)
-by its one-edge extensions (alpha e, beta e) over the in-edges of the
-common source, until all beta-lengths in that degree equal the maximal one
-occurring.  Distinct monomials at one level then have disjoint basic sets,
-so evaluation against groupoid points is a plain coefficient sum and the
-zero element is detected exactly.
+coefficients, read as a function on the groupoid: the sum of coefficient
+times the indicator of the basic set Z(alpha, beta).  Within one degree
+these sets are disjoint or nested, and they form a forest under the child
+expansion (refine_children) that replaces (alpha, beta) by its one-edge
+extensions (alpha e, beta e) over the in-edges of the common source.
+
+The stored form is the coarsest one (the reduced decision-diagram rule):
+per degree, the largest basic sets on which the function is a constant
+nonzero value.  They are disjoint, so evaluation is a coefficient sum, and
+equal elements have equal term maps.  R_{a^n} under p_v splits only the n
+sets on its path: n+1 terms, not 2^n.  normalize(a, beta_depth=d) gives an
+explicit refined listing instead.
 
 A product of monomials is nonzero only when the left beta and the right
 alpha are prefix-comparable, so the product looks up just those pairs:
@@ -31,7 +36,12 @@ from .errors import (
     UnsupportedNormError,
     UnsupportedRootError,
 )
-from .graph import every_loop_has_entrance, strings_from_json_obj, underlying
+from .graph import (
+    _require_no_sources,
+    every_loop_has_entrance,
+    strings_from_json_obj,
+    underlying,
+)
 from .paths import (
     FinPath,
     GroupoidPoint,
@@ -131,51 +141,116 @@ def mono_product(g, m1: CKMono, m2: CKMono):
 
 def refine_children(g, m: CKMono):
     """One-step child expansion over the in-edges of the common source."""
-    src = mono_source(g, m)
-    return [
-        CKMono(FinPath(m.alpha.edges + (e.id,)), FinPath(m.beta.edges + (e.id,)))
-        for e in g.in_edges(src)
-    ]
+    return [_from_key(key) for key in _children(g, _key(g, m))]
 
 
 def _refine_to(g, m: CKMono, beta_len):
     out = [m]
     while len(out[0].beta) < beta_len:
         out = [child for mono in out for child in refine_children(g, mono)]
-        if not out:
-            break
     return out
 
 
-def _accumulate(acc, mono, c):
-    # A first occurrence is stored as is: scalars are immutable, so sharing
-    # c is safe and saves building ZERO + c.
-    old = acc.get(mono)
-    acc[mono] = c if old is None else old + c
+def _key(g, m: CKMono):
+    """A monomial as plain tuples: (common source, alpha edges, beta edges)."""
+    return path_source(g, m.alpha), m.alpha.edges, m.beta.edges
+
+
+def _from_key(key) -> CKMono:
+    src, a, b = key
+    return CKMono(FinPath(a) if a else empty_path(src), FinPath(b) if b else empty_path(src))
+
+
+def _ancestors(g, key):
+    """The basic sets strictly containing that of key, smallest first: the
+    truncations of alpha and beta by a common suffix."""
+    src, a, b = key
+    while a and b and a[-1] == b[-1]:
+        src, a, b = g.range_of(a[-1]), a[:-1], b[:-1]
+        yield src, a, b
+
+
+def _children(g, key):
+    src, a, b = key
+    return [(e.source, a + (e.id,), b + (e.id,)) for e in g.in_edges(src)]
+
+
+_ROUGH = object()  # the value of a node the function is not constant on
+
+
+def _coarsest(g, values, add):
+    """Coarsest listing of sum(v * 1_Z(m)) over {m: v} of one degree: the
+    basic sets on which it is a constant nonzero value, but not constant
+    on their parent set.  add(x, y) gives None for a zero sum.
+
+    The monomials and their ancestors form a forest under refine_children.
+    Going down, a node's total adds its parent's.  Going up, a node is flat
+    when its children are flat with one value, a child outside the forest
+    having its parent's total.  A rough node lists its flat children.
+    """
+    if not any(m.alpha.edges and m.beta.edges and m.alpha.edges[-1] == m.beta.edges[-1]
+               for m in values):
+        return values  # all roots: none nests in or merges with another
+    own, monos = {}, {}
+    for m, v in values.items():
+        key = _key(g, m)
+        own[key], monos[key] = v, m
+    parent = {}
+    for node in own:
+        for up in _ancestors(g, node):
+            if node in parent:
+                break  # the rest of the chain is recorded
+            parent[node], node = up, up
+    inner = set(parent.values())
+    order = sorted(inner.union(own), key=lambda key: len(key[2]))
+    total = {}
+    for key in order:
+        t, v = total.get(parent.get(key)), own.get(key)
+        total[key] = v if t is None else t if v is None else add(t, v)
+    flat, out = {}, {}
+    for key in reversed(order):
+        if key not in inner:
+            flat[key] = total[key]
+            continue
+        kids = [(c, flat.get(c, _ROUGH) if c in total else total[key])
+                for c in _children(g, key)]
+        first = kids[0][1]
+        if first is not _ROUGH and all(v == first for _, v in kids):
+            flat[key] = first
+        else:
+            out.update((c, v) for c, v in kids if v is not _ROUGH and v is not None)
+    out.update((key, v) for key, v in flat.items() if key not in parent and v is not None)
+    return {monos.get(key) or _from_key(key): v for key, v in out.items()}
+
+
+def _canonical(g, pairs, add):
+    """Per degree, the coarsest listing of the (monomial, value) pairs."""
+    by_degree = {}
+    for mono, v in pairs:
+        bucket = by_degree.setdefault(mono.degree, {})
+        old = bucket.get(mono)
+        # A first occurrence is stored as is: values are immutable.
+        bucket[mono] = v if old is None else add(old, v)
+    for bucket in by_degree.values():
+        for mono in [m for m, v in bucket.items() if v is None]:
+            del bucket[mono]
+    return [_coarsest(g, bucket, add) for bucket in by_degree.values()]
+
+
+def _add_scalars(x, y):
+    s = x + y
+    return None if s.is_zero() else s
 
 
 def _normal_terms(g, pairs, beta_depth=None):
-    by_degree = {}
-    for mono, coeff in pairs:
-        c = as_gaussian(coeff)
-        if c.is_zero():
-            continue
-        _accumulate(by_degree.setdefault(mono.degree, {}), mono, c)
+    nonzero = ((m, c) for m, c in ((m, as_gaussian(c)) for m, c in pairs) if not c.is_zero())
     out = {}
-    for bucket in by_degree.values():
-        live = {m: c for m, c in bucket.items() if not c.is_zero()}
-        if not live:
+    for leaves in _canonical(g, nonzero, _add_scalars):
+        if beta_depth is None:
+            out.update(leaves)
             continue
-        target = max(len(m.beta) for m in live)
-        if beta_depth is not None:
-            target = max(target, beta_depth)
-        level = {}
-        for mono, c in live.items():
-            for child in _refine_to(g, mono, target):
-                _accumulate(level, child, c)
-        for mono, c in level.items():
-            if not c.is_zero():
-                out[mono] = c
+        target = max([beta_depth] + [len(m.beta) for m in leaves])
+        out.update((piece, c) for m, c in leaves.items() for piece in _refine_to(g, m, target))
     return out
 
 
@@ -186,15 +261,19 @@ class AlgElement:
 
     def __init__(self, graph, terms=(), beta_depth=None):
         graph = underlying(graph)
-        if graph.sources:
-            # Refinement below a source would drop terms without a trace.
-            raise PreconditionError(
-                "the algebra needs a graph without sources; %s is the range of no edge"
-                % ", ".join(graph.sources)
-            )
+        # A basic set at a source is empty and has no children to refine into.
+        _require_no_sources(graph, "the algebra")
         pairs = terms.items() if isinstance(terms, dict) else terms
         object.__setattr__(self, "graph", graph)
         object.__setattr__(self, "terms", _normal_terms(graph, pairs, beta_depth))
+
+    @classmethod
+    def _trusted(cls, graph, terms):
+        """An element over a plain graph whose terms are already canonical."""
+        a = object.__new__(cls)
+        object.__setattr__(a, "graph", graph)
+        object.__setattr__(a, "terms", terms)
+        return a
 
     def __setattr__(self, name, value):
         raise AttributeError("AlgElement is immutable")
@@ -220,11 +299,13 @@ class AlgElement:
         return self + (-other)
 
     def __neg__(self):
-        return AlgElement(self.graph, [(m, -c) for m, c in self.terms.items()])
+        return AlgElement._trusted(self.graph, {m: -c for m, c in self.terms.items()})
 
     def scale(self, scalar):
         c0 = as_gaussian(scalar)
-        return AlgElement(self.graph, [(m, c0 * c) for m, c in self.terms.items()])
+        if c0.is_zero():
+            return zero(self.graph)
+        return AlgElement._trusted(self.graph, {m: c0 * c for m, c in self.terms.items()})
 
     def __mul__(self, other):
         if isinstance(other, AlgElement):
@@ -253,8 +334,8 @@ class AlgElement:
         return self.scale(scalar)
 
     def adjoint(self):
-        return AlgElement(
-            self.graph, [(m.adjoint(), c.conjugate()) for m, c in self.terms.items()]
+        return AlgElement._trusted(
+            self.graph, {m.adjoint(): c.conjugate() for m, c in self.terms.items()}
         )
 
     def __eq__(self, other):
@@ -342,6 +423,9 @@ def mul_mono(g, m1: CKMono, m2: CKMono) -> AlgElement:
 
 
 def normalize(a: AlgElement, beta_depth=None) -> AlgElement:
+    """The canonical form, or with beta_depth=d a refined listing: each
+    degree's coarse terms refined to beta length max(d, the longest beta
+    among them).  The listing is the same element, not a canonical form."""
     if beta_depth is not None and beta_depth < 0:
         raise BadInputError("beta depth must be nonnegative")
     return AlgElement(a.graph, list(a.terms.items()), beta_depth)
@@ -353,8 +437,8 @@ def adjoint(a):
 
 def phi_m(a: AlgElement, m) -> AlgElement:
     """Degree-m graded part."""
-    return AlgElement(
-        a.graph, [(mono, c) for mono, c in a.terms.items() if mono.degree == m]
+    return AlgElement._trusted(
+        a.graph, {mono: c for mono, c in a.terms.items() if mono.degree == m}
     )
 
 
@@ -366,12 +450,9 @@ def gauge(a: AlgElement, n, j) -> AlgElement:
     if n not in (1, 2, 4):
         raise UnsupportedRootError("rotation order %r has no exact representation" % n)
     step = 4 // n
-    return AlgElement(
+    return AlgElement._trusted(
         a.graph,
-        [
-            (mono, c.times_i_power(step * j * mono.degree))
-            for mono, c in a.terms.items()
-        ],
+        {mono: c.times_i_power(step * j * mono.degree) for mono, c in a.terms.items()},
     )
 
 
@@ -505,19 +586,17 @@ def check_proj_afpart(a: AlgElement, e: CKMono, k) -> bool:
     return q * a * p == q * phi_m(a, 0) * p
 
 
+def mono_to_json_obj(g, m: CKMono):
+    return {"alpha": list(m.alpha.edges), "beta": list(m.beta.edges),
+            "anchor": mono_source(g, m)}
+
+
 def element_to_json_obj(a: AlgElement):
     out = []
     for m in a.monomials():
         c = a.terms[m]
-        out.append(
-            {
-                "alpha": list(m.alpha.edges),
-                "beta": list(m.beta.edges),
-                "anchor": mono_source(a.graph, m),
-                "re": format_rational(c.re),
-                "im": format_rational(c.im),
-            }
-        )
+        out.append(dict(mono_to_json_obj(a.graph, m), re=format_rational(c.re),
+                        im=format_rational(c.im)))
     return out
 
 

@@ -23,7 +23,7 @@ from .errors import (
     PreconditionError,
     WindowTooShortError,
 )
-from .graph import max_simple_loop_length, strings_from_json_obj
+from .graph import _require_no_sources, strings_from_json_obj
 from .paths import (
     EvPath,
     FinPath,
@@ -168,10 +168,12 @@ def eval_cocycle(f: LocallyConstantFn, point: GroupoidPoint) -> Fraction:
 def reconstruct_f(g, f: LocallyConstantFn, max_prefix_len=None, max_cycle_len=None):
     """Check f(x) == cocycle(x, 1, Sx) across an exhaustive sample family.
 
-    Returns (ok, failures) where failures lists (path, expected, got).
+    Returns (ok, failures) where failures lists (path, expected, got).  A
+    graph with sources is refused, as everywhere in the algebra.
     """
+    _require_no_sources(g, "the cocycle layer")
     if max_cycle_len is None:
-        max_cycle_len = max(2, max_simple_loop_length(g))
+        max_cycle_len = max(2, g.max_loop_length)
     if max_prefix_len is None:
         max_prefix_len = f.depth + max_cycle_len
     failures = []

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .errors import BadInputError, InvalidGraphError
+from .errors import BadInputError, InvalidGraphError, PreconditionError
 
 
 @dataclass(frozen=True)
@@ -64,6 +64,17 @@ class Graph:
             self._out[e.source].append(e)
         # Vertices that are the range of no edge, which the algebra excludes.
         self.sources = tuple(sorted(v for v in self.vertices if not self._in[v]))
+        # Set here, not on first use: on CPython 3.11 an attribute added after
+        # __init__ slows every later attribute lookup on the object by ~8%.
+        self._max_loop_length = None
+
+    @property
+    def max_loop_length(self):
+        """max_simple_loop_length, searched once per graph: the search is
+        exponential in the worst case, and the graph does not change."""
+        if self._max_loop_length is None:
+            self._max_loop_length = max_simple_loop_length(self)
+        return self._max_loop_length
 
     def in_edges(self, v):
         """Edges whose range is v: the edges a path at v can start with."""
@@ -138,6 +149,13 @@ class OrderedGraph(Graph):
                     vp[u] = (0, min(self.position[e.id] for e in ins))
             self._vertex_pos = vp
         return self._vertex_pos[v]
+
+
+def _require_no_sources(graph: Graph, layer):
+    """Raise PreconditionError naming the sources, if there are any."""
+    if graph.sources:
+        raise PreconditionError("%s needs a graph without sources; %s is the range "
+                                "of no edge" % (layer, ", ".join(graph.sources)))
 
 
 def validate(graph: Graph) -> ValidationReport:

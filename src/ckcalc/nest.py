@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 from .ckalg import AlgElement, CKMono, check_mono, mono_source, path_tail_of
 from .errors import BadInputError, OutOfRangeError, PreconditionError
-from .graph import OrderedGraph, max_simple_loop_length
+from .graph import OrderedGraph, _require_no_sources
 from .paths import (
     FinPath,
     GroupoidPoint,
@@ -36,9 +36,7 @@ def _check_nest_graph(og):
     if not og.adapted:
         raise PreconditionError("edge order is not adapted: in-edges of %s are not an "
                                 "interval" % ", ".join(og.order_violations))
-    if og.sources:
-        raise PreconditionError("the nest layer needs a graph without sources; %s is "
-                                "the range of no edge" % ", ".join(og.sources))
+    _require_no_sources(og, "the nest layer")
 
 
 def _atom_key(og: OrderedGraph, word, anchor):
@@ -109,7 +107,7 @@ class NestViolation:
 
 
 def default_level_bound(og, m: CKMono):
-    return len(m.alpha) + len(m.beta) + 2 * max_simple_loop_length(og)
+    return len(m.alpha) + len(m.beta) + 2 * og.max_loop_length
 
 
 def in_alg_n_oracle(og: OrderedGraph, m: CKMono, level_bound=None):

@@ -2,7 +2,8 @@
 
 Every random object is drawn from a caller-supplied random.Random so each
 test controls its own seed and stays reproducible.  Random graphs come from
-the hypothesis strategy small_ordered_graphs.
+the hypothesis strategy small_ordered_graphs.  lpa_coefficients is an
+equality oracle that shares no code with the library's normal form.
 """
 
 import random
@@ -22,7 +23,7 @@ from ckcalc.paths import (
     paths_with_source,
     prepend,
 )
-from ckcalc.scalars import GaussianRational
+from ckcalc.scalars import ZERO, GaussianRational
 
 
 def make_rng(seed=20260816):
@@ -113,3 +114,40 @@ def small_ordered_graphs(draw, max_vertices=4):
         order.extend(draw(st.permutations([e.id for e in blocks[v]])))
     edges = [e for v in vertices for e in blocks[v]]
     return OrderedGraph(Graph(vertices, edges), order)
+
+
+def lpa_coefficients(g, pairs):
+    """Coefficients of sum(c * S_alpha S_beta*) over the (monomial, c) pairs
+    in the Leavitt path algebra basis of Alahmadi, Alsulami, Jain and
+    Zelmanov (2012), keyed by (source, alpha edges, beta edges).
+
+    The first in-edge of each vertex is its special edge.
+    By the Cuntz-Krieger relation S_m S_n* = sum over the in-edges e of
+    their source of S_{me} S_{ne}*, a word S_{ms} S_{ns}* that ends in the
+    special edge s on both sides is rewritten as S_m S_n* minus its other
+    children, until no word does.  The remaining words form a basis, so two
+    elements are equal iff these maps are.
+    """
+    g = underlying(g)
+    special = {v: g.in_edges(v)[0].id for v in g.vertices}
+    work = [((path_source(g, m.alpha), m.alpha.edges, m.beta.edges), c) for m, c in pairs]
+    out = {}
+    while work:
+        (src, alpha, beta), c = work.pop()
+        last = alpha[-1] if alpha and beta and alpha[-1] == beta[-1] else None
+        if last is not None and special[g.range_of(last)] == last:
+            v = g.range_of(last)
+            work.append(((v, alpha[:-1], beta[:-1]), c))
+            for e in g.in_edges(v):
+                if e.id != last:
+                    work.append(((e.source, alpha[:-1] + (e.id,), beta[:-1] + (e.id,)), -c))
+        else:
+            key = (src, alpha, beta)
+            out[key] = out.get(key, ZERO) + c
+    return {k: c for k, c in out.items() if not c.is_zero()}
+
+
+def lpa_equal(a, b):
+    """a == b decided in the Leavitt path algebra basis."""
+    return lpa_coefficients(a.graph, a.terms.items()) == lpa_coefficients(
+        b.graph, b.terms.items())

@@ -20,7 +20,7 @@ from ckcalc.ckalg import (
     vertex_projection,
 )
 from ckcalc.cocycle import LocallyConstantFn
-from ckcalc.errors import BadInputError
+from ckcalc.errors import BadInputError, PreconditionError
 from ckcalc.graph import underlying
 from ckcalc.paths import (
     GroupoidPoint,
@@ -269,3 +269,31 @@ def test_coarsening_and_membership_match_all_pairs_reference(o2, e2):
             assert spectrum.cylinders == frozenset(_from_cylinders_all_pairs(g, family))
             for m in rng.sample(probes, 40) + family:
                 assert member(g, m, spectrum) == _member_all_pairs(g, m, spectrum)
+
+
+def test_ck_in_analytic_rejects_sources():
+    # u is the range of no edge; S_f has source u and S_a does not, but both
+    # carry the cocycle value -1, so neither is in the analytic subalgebra.
+    g = build_graph(["u", "v"], [("a", "v", "v"), ("f", "v", "u")])
+    f = LocallyConstantFn(1, {("a",): -1, ("f",): -1})
+    for m in (CKMono(fpath("f"), empty_path("u")), CKMono(fpath("a"), empty_path("v"))):
+        with pytest.raises(PreconditionError, match="u is the range of no edge"):
+            ck_in_analytic(g, f, m)
+
+
+@pytest.mark.parametrize("name", ["single_loop", "c2", "loop3", "loop3e"])
+def test_coarsening_matches_all_pairs_reference_on_more_graphs(name, request):
+    """The other fixtures have vertices with one in-edge, where a set and its
+    only child are the same set and must coarsen to the parent."""
+    g = underlying(request.getfixturevalue(name))
+    rng = make_rng(43)
+    pool = all_monos(g, 2)
+    probes = all_monos(g, 3)
+    for _ in range(30):
+        family = rng.sample(pool, min(len(pool), rng.randint(1, 8)))
+        for m in rng.sample(family, 1):
+            family += refine_children(g, m)
+        spectrum = SpectrumSet.from_cylinders(g, family)
+        assert spectrum.cylinders == frozenset(_from_cylinders_all_pairs(g, family))
+        for m in rng.sample(probes, min(len(probes), 30)) + family:
+            assert member(g, m, spectrum) == _member_all_pairs(g, m, spectrum)

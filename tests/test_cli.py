@@ -611,3 +611,24 @@ def test_fuzz_main_prints_one_object_or_exits_two(tmp_path, name, data):
     assert len(lines) == 1
     out = json.loads(lines[0])
     assert isinstance(out, dict) and out["ok"] is (code == 0)
+
+
+def test_cocycle_commands_refuse_sources(ws, capsys):
+    # u is the range of no edge.
+    graph = ws["save"]("sourced.json", {
+        "vertices": ["u", "v"],
+        "edges": [{"id": "a", "range": "v", "source": "v"},
+                  {"id": "f", "range": "v", "source": "u"}],
+    })
+    fn = ws["save"]("minus_one.json", {
+        "depth": 1,
+        "table": [{"path": ["a"], "value": "-1"}, {"path": ["f"], "value": "-1"}],
+    })
+    for argv in (
+        ["analytic-member", "--graph", graph, "--fn", fn, "--alpha", "f", "--beta", ""],
+        ["cocycle-check", "--graph", graph, "--fn", fn],
+    ):
+        code, out = run(capsys, argv)
+        assert code == 1 and out["ok"] is False, argv
+        assert out["error"]["code"] == "precondition_violation", argv
+        assert "u is the range of no edge" in out["error"]["message"], argv

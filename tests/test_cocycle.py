@@ -380,3 +380,10 @@ def test_fn_json_round_trip(o2):
         fn_from_json_obj({"depth": 1})
     with pytest.raises(BadInputError):
         fn_from_json_obj({"depth": 1, "table": [{"path": ["a"]}]})
+
+
+def test_reconstruct_f_rejects_sources():
+    g = build_graph(["u", "v"], [("a", "v", "v"), ("f", "v", "u")])
+    f = LocallyConstantFn(1, {("a",): -1, ("f",): -1})
+    with pytest.raises(PreconditionError, match="u is the range of no edge"):
+        reconstruct_f(g, f)

@@ -10,7 +10,7 @@ from ckcalc.ckalg import (
     zero,
 )
 from ckcalc.errors import BadInputError, InvalidPointError, OutOfRangeError, PreconditionError
-from ckcalc.graph import validate_order
+from ckcalc.graph import max_simple_loop_length, validate_order
 from ckcalc.nest import (
     NestViolation,
     commutator,
@@ -253,3 +253,24 @@ def test_nest_layer_rejects_sources():
     ):
         with pytest.raises(PreconditionError, match="u is the range of no edge"):
             call()
+
+
+def test_default_level_bound_searches_each_graph_once(monkeypatch):
+    import ckcalc.graph
+
+    searched = []
+
+    def counting(og):
+        searched.append(og)
+        return max_simple_loop_length(og)
+
+    monkeypatch.setattr(ckcalc.graph, "max_simple_loop_length", counting)
+    graphs = [
+        build_graph(["v"], [("a", "v", "v"), ("b", "v", "v")], order=["a", "b"])
+        for _ in range(2)
+    ]
+    for og in graphs:
+        for m in all_monos(og, 1):
+            in_alg_n_oracle(og, m)
+            assert default_level_bound(og, m) == len(m.alpha) + len(m.beta) + 2
+    assert searched == graphs
