@@ -23,7 +23,7 @@ from .ckalg import (
     mono_from_json_obj,
     mono_to_json_obj,
     path_tail_of,
-    _canonical,
+    _coarsest,
     _mono_sort_key,
     _same_graph,
 )
@@ -42,13 +42,16 @@ def cyl_contains(g, inner: CKMono, outer: CKMono) -> bool:
 
 
 class SpectrumSet:
-    """Canonical finite family of basic sets."""
+    """Canonical finite family of basic sets: the coarsest one covering the
+    union of the given sets, so equal unions give equal families."""
 
     __slots__ = ("graph", "cylinders")
 
     def __init__(self, graph, cylinders):
-        object.__setattr__(self, "graph", underlying(graph))
-        object.__setattr__(self, "cylinders", frozenset(cylinders))
+        graph = underlying(graph)
+        leaves = _coarsest(graph, ((c, True) for c in cylinders), operator.or_)
+        object.__setattr__(self, "graph", graph)
+        object.__setattr__(self, "cylinders", frozenset(leaves))
 
     def __setattr__(self, name, value):
         raise AttributeError("SpectrumSet is immutable")
@@ -56,8 +59,7 @@ class SpectrumSet:
     @classmethod
     def from_cylinders(cls, g, cylinders) -> "SpectrumSet":
         """The canonical family covering the union of the basic sets."""
-        leaves = _canonical(g, ((c, True) for c in cylinders), operator.or_)
-        return cls(g, [c for family in leaves for c in family])
+        return cls(g, cylinders)
 
     def sorted_cylinders(self):
         return sorted(self.cylinders, key=_mono_sort_key)
@@ -82,9 +84,8 @@ class SpectrumSet:
 
 def member(g, m: CKMono, spectrum: SpectrumSet) -> bool:
     """Whether the basic set of m is covered by the spectrum family: adding
-    it leaves the canonical family of its degree as it was."""
-    family = [c for c in spectrum.cylinders if c.degree == m.degree]
-    return SpectrumSet.from_cylinders(g, family + [m]) == SpectrumSet.from_cylinders(g, family)
+    it leaves the canonical family as it was."""
+    return SpectrumSet.from_cylinders(g, [*spectrum.cylinders, m]) == spectrum
 
 
 def generated_spectrum(gens) -> SpectrumSet:

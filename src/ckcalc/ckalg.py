@@ -45,9 +45,11 @@ from .graph import (
 from .paths import (
     FinPath,
     GroupoidPoint,
+    _iter_continuations,
+    _path,
     check_finpath,
-    continuations,
     empty_path,
+    join_paths,
     path_range,
     path_source,
     point_in_Z,
@@ -108,24 +110,13 @@ def path_tail_of(g, whole: FinPath, prefix: FinPath):
         return None
     if whole.edges[: len(prefix)] != prefix.edges:
         return None
-    rest = whole.edges[len(prefix):]
-    if not rest:
-        return empty_path(path_source(g, whole))
-    return FinPath(rest)
+    return _path(whole.edges[len(prefix):], path_source(g, whole))
 
 
 def _path_key(g, p: FinPath):
     """(range, edges): p is a prefix of q, in the sense of path_tail_of,
     exactly when p's key is a prefix of q's key."""
     return path_range(g, p), p.edges
-
-
-def join_paths(left: FinPath, tail: FinPath) -> FinPath:
-    if tail.is_empty:
-        return left
-    if left.is_empty:
-        return tail
-    return FinPath(left.edges + tail.edges)
 
 
 def mono_product(g, m1: CKMono, m2: CKMono):
@@ -158,7 +149,7 @@ def _key(g, m: CKMono):
 
 def _from_key(key) -> CKMono:
     src, a, b = key
-    return CKMono(FinPath(a) if a else empty_path(src), FinPath(b) if b else empty_path(src))
+    return CKMono(_path(a, src), _path(b, src))
 
 
 def _ancestors(g, key):
@@ -178,23 +169,32 @@ def _children(g, key):
 _ROUGH = object()  # the value of a node the function is not constant on
 
 
-def _coarsest(g, values, add):
-    """Coarsest listing of sum(v * 1_Z(m)) over {m: v} of one degree: the
-    basic sets on which it is a constant nonzero value, but not constant
-    on their parent set.  add(x, y) gives None for a zero sum.
+def _coarsest(g, pairs, add):
+    """Coarsest listing of sum(v * 1_Z(m)) over the (m, v) pairs: the basic
+    sets on which it is a constant nonzero value, but not constant on their
+    parent set.  add(x, y) gives None for a zero sum.
 
-    The monomials and their ancestors form a forest under refine_children.
-    Going down, a node's total adds its parent's.  Going up, a node is flat
-    when its children are flat with one value, a child outside the forest
-    having its parent's total.  A rough node lists its flat children.
+    Repeated monomials are merged first.  The monomials and their ancestors
+    form a forest under refine_children; a truncation by a common suffix
+    keeps |alpha| - |beta|, so no tree mixes degrees.  Going down, a node's
+    total adds its parent's.  Going up, a node is flat when its children are
+    flat with one value, a child outside the forest having its parent's
+    total.  A rough node lists its flat children.
     """
+    merged = {}
+    for m, v in pairs:
+        old = merged.get(m)
+        # A first occurrence is stored as is: values are immutable.
+        merged[m] = v if old is None else add(old, v)
     if not any(m.alpha.edges and m.beta.edges and m.alpha.edges[-1] == m.beta.edges[-1]
-               for m in values):
-        return values  # all roots: none nests in or merges with another
+               for m in merged):
+        # All roots: none nests in or merges with another.
+        return {m: v for m, v in merged.items() if v is not None}
     own, monos = {}, {}
-    for m, v in values.items():
-        key = _key(g, m)
-        own[key], monos[key] = v, m
+    for m, v in merged.items():
+        if v is not None:
+            key = _key(g, m)
+            own[key], monos[key] = v, m
     parent = {}
     for node in own:
         for up in _ancestors(g, node):
@@ -223,35 +223,9 @@ def _coarsest(g, values, add):
     return {monos.get(key) or _from_key(key): v for key, v in out.items()}
 
 
-def _canonical(g, pairs, add):
-    """Per degree, the coarsest listing of the (monomial, value) pairs."""
-    by_degree = {}
-    for mono, v in pairs:
-        bucket = by_degree.setdefault(mono.degree, {})
-        old = bucket.get(mono)
-        # A first occurrence is stored as is: values are immutable.
-        bucket[mono] = v if old is None else add(old, v)
-    for bucket in by_degree.values():
-        for mono in [m for m, v in bucket.items() if v is None]:
-            del bucket[mono]
-    return [_coarsest(g, bucket, add) for bucket in by_degree.values()]
-
-
 def _add_scalars(x, y):
     s = x + y
     return None if s.is_zero() else s
-
-
-def _normal_terms(g, pairs, beta_depth=None):
-    nonzero = ((m, c) for m, c in ((m, as_gaussian(c)) for m, c in pairs) if not c.is_zero())
-    out = {}
-    for leaves in _canonical(g, nonzero, _add_scalars):
-        if beta_depth is None:
-            out.update(leaves)
-            continue
-        target = max([beta_depth] + [len(m.beta) for m in leaves])
-        out.update((piece, c) for m, c in leaves.items() for piece in _refine_to(g, m, target))
-    return out
 
 
 class AlgElement:
@@ -259,13 +233,14 @@ class AlgElement:
 
     __slots__ = ("graph", "terms")
 
-    def __init__(self, graph, terms=(), beta_depth=None):
+    def __init__(self, graph, terms=()):
         graph = underlying(graph)
         # A basic set at a source is empty and has no children to refine into.
         _require_no_sources(graph, "the algebra")
         pairs = terms.items() if isinstance(terms, dict) else terms
+        nonzero = ((m, c) for m, c in ((m, as_gaussian(c)) for m, c in pairs) if not c.is_zero())
         object.__setattr__(self, "graph", graph)
-        object.__setattr__(self, "terms", _normal_terms(graph, pairs, beta_depth))
+        object.__setattr__(self, "terms", _coarsest(graph, nonzero, _add_scalars))
 
     @classmethod
     def _trusted(cls, graph, terms):
@@ -428,7 +403,15 @@ def normalize(a: AlgElement, beta_depth=None) -> AlgElement:
     among them).  The listing is the same element, not a canonical form."""
     if beta_depth is not None and beta_depth < 0:
         raise BadInputError("beta depth must be nonnegative")
-    return AlgElement(a.graph, list(a.terms.items()), beta_depth)
+    canonical = AlgElement(a.graph, a.terms)
+    if beta_depth is None:
+        return canonical
+    target = {}
+    for m in canonical.terms:
+        target[m.degree] = max(target.get(m.degree, beta_depth), len(m.beta))
+    return AlgElement._trusted(a.graph, {
+        piece: c for m, c in canonical.terms.items()
+        for piece in _refine_to(a.graph, m, target[m.degree])})
 
 
 def adjoint(a):
@@ -547,8 +530,8 @@ def separating_projections(g, e: CKMono, k) -> SeparatingProjections:
     src = mono_source(g, e)
     cap = k + len(g.vertices) + len(g.edges) + 2
     for k_eff in range(k, cap + 1):
-        for pi in continuations(g, src, 2 * k_eff):
-            for w in continuations(g, path_source(g, pi), k_eff):
+        for pi in _iter_continuations(g, src, 2 * k_eff):
+            for w in _iter_continuations(g, path_source(g, pi), k_eff):
                 if _connector_condition(pi, w, k_eff):
                     pi_w = FinPath(pi.edges + w.edges)
                     p_path = join_paths(e.beta, pi_w)
@@ -600,15 +583,6 @@ def element_to_json_obj(a: AlgElement):
     return out
 
 
-def _finpath_from_parts(edges, anchor):
-    edges = tuple(edges)
-    if edges:
-        return FinPath(edges)
-    if anchor is None:
-        raise BadInputError("empty path needs an anchor vertex")
-    return empty_path(anchor)
-
-
 def mono_from_json_obj(g, item) -> CKMono:
     if not isinstance(item, dict) or "alpha" not in item or "beta" not in item:
         raise BadInputError("monomial JSON needs alpha and beta")
@@ -616,8 +590,8 @@ def mono_from_json_obj(g, item) -> CKMono:
     if anchor is not None and not isinstance(anchor, str):
         raise BadInputError("anchor must be a string")
     m = CKMono(
-        _finpath_from_parts(strings_from_json_obj(item["alpha"], "alpha"), anchor),
-        _finpath_from_parts(strings_from_json_obj(item["beta"], "beta"), anchor),
+        _path(strings_from_json_obj(item["alpha"], "alpha"), anchor),
+        _path(strings_from_json_obj(item["beta"], "beta"), anchor),
     )
     check_mono(g, m)
     src = mono_source(g, m)

@@ -34,6 +34,7 @@ from .paths import (
     empty_path,
     enumerate_evpaths,
     inverse,
+    join_paths,
     path_range,
     path_source,
     shift,
@@ -204,7 +205,8 @@ def loop_growth(f: LocallyConstantFn, x: EvPath, period) -> LoopGrowthReport:
         raise PreconditionError(
             "period must be a positive multiple of the primitive cycle length"
         )
-    base = eval_cocycle(f, GroupoidPoint(x, period, x))
+    n = len(x.cycle)
+    base = period // n * eval_cocycle(f, GroupoidPoint(x, n, x))
     return LoopGrowthReport(base=base, verified=True, unbounded=base != 0)
 
 
@@ -352,20 +354,11 @@ def cocycle_graded_projection(f: LocallyConstantFn, a, value) -> "AlgElement":
     value = Fraction(value)
     pairs = []
     for mono, coeff in a.terms.items():
-        src = path_source(a.graph, mono.alpha)
         for w, piece_value in _cocycle_pieces(a.graph, f, mono):
             if piece_value == value:
-                piece = CKMono(join_word(mono.alpha, w, src), join_word(mono.beta, w, src))
+                piece = CKMono(join_paths(mono.alpha, w), join_paths(mono.beta, w))
                 pairs.append((piece, coeff))
     return AlgElement(a.graph, pairs)
-
-
-def join_word(p: FinPath, w: FinPath, src) -> FinPath:
-    """Word concatenation p then w, re-anchoring empties."""
-    edges = p.edges + w.edges
-    if edges:
-        return FinPath(edges)
-    return empty_path(src)
 
 
 def fn_to_json_obj(f: LocallyConstantFn):

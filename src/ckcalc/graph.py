@@ -9,7 +9,7 @@ space over every vertex nonempty.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .errors import BadInputError, InvalidGraphError, PreconditionError
 
@@ -27,14 +27,6 @@ class ValidationReport:
     no_source_violations: tuple = ()
     isolated_vertices: tuple = ()
     order_violations: tuple = ()
-
-    def as_json_obj(self):
-        return {
-            "ok": self.ok,
-            "no_source_violations": list(self.no_source_violations),
-            "isolated_vertices": list(self.isolated_vertices),
-            "order_violations": list(self.order_violations),
-        }
 
 
 class Graph:
@@ -182,28 +174,21 @@ def _step_arcs(graph: Graph, edges):
 
 
 def _has_cycle(graph: Graph, edges):
+    """Peel off vertices that no remaining arc enters; a cycle is what is left."""
     arcs = _step_arcs(graph, edges)
-    state = {v: 0 for v in graph.vertices}  # 0 new, 1 on stack, 2 done
-    for root in graph.vertices:
-        if state[root]:
-            continue
-        stack = [(root, iter(sorted(arcs[root])))]
-        state[root] = 1
-        while stack:
-            v, it = stack[-1]
-            advanced = False
-            for w in it:
-                if state[w] == 1:
-                    return True
-                if state[w] == 0:
-                    state[w] = 1
-                    stack.append((w, iter(sorted(arcs[w]))))
-                    advanced = True
-                    break
-            if not advanced:
-                state[v] = 2
-                stack.pop()
-    return False
+    entering = {v: 0 for v in graph.vertices}
+    for targets in arcs.values():
+        for w in targets:
+            entering[w] += 1
+    free = [v for v, n in entering.items() if n == 0]
+    peeled = 0
+    while free:
+        peeled += 1
+        for w in arcs[free.pop()]:
+            entering[w] -= 1
+            if entering[w] == 0:
+                free.append(w)
+    return peeled < len(graph.vertices)
 
 
 def has_loop(graph: Graph) -> bool:

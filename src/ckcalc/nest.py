@@ -19,6 +19,7 @@ from .graph import OrderedGraph, _require_no_sources
 from .paths import (
     FinPath,
     GroupoidPoint,
+    _path,
     all_finpaths,
     continuations,
     empty_path,
@@ -68,9 +69,7 @@ def nest_projection(og: OrderedGraph, level, cutpos) -> AlgElement:
 
 
 def _head(og, p: FinPath, length) -> FinPath:
-    if length == 0:
-        return empty_path(path_range(og, p))
-    return FinPath(p.edges[:length])
+    return _path(p.edges[:length], path_range(og, p))
 
 
 def in_alg_n(og: OrderedGraph, m: CKMono):

@@ -70,17 +70,35 @@ def empty_path(vertex) -> FinPath:
     return FinPath((), vertex)
 
 
+def _path(edges, vertex) -> FinPath:
+    """The path with these edges, or the empty path at vertex if none."""
+    return FinPath(edges) if edges else FinPath((), vertex)
+
+
+def join_paths(left: FinPath, tail: FinPath) -> FinPath:
+    """left then tail, for a tail whose range is the source of left."""
+    if tail.is_empty:
+        return left
+    if left.is_empty:
+        return tail
+    return FinPath(left.edges + tail.edges)
+
+
+def _check_chain(g, word):
+    """Raise unless every edge exists and each one chains onto the next."""
+    for eid in word:
+        g.edge(eid)
+    for a, b in zip(word, word[1:]):
+        if g.range_of(b) != g.source_of(a):
+            raise InvalidPathError("edges %r then %r do not chain" % (a, b))
+
+
 def check_finpath(g, p: FinPath):
     """Raise InvalidPathError unless p is a path of g."""
     if p.is_empty:
         if p.anchor not in g.vertex_set:
             raise InvalidPathError("anchor %r is not a vertex" % p.anchor)
-        return
-    for eid in p.edges:
-        g.edge(eid)
-    for a, b in zip(p.edges, p.edges[1:]):
-        if g.range_of(b) != g.source_of(a):
-            raise InvalidPathError("edges %r then %r do not chain" % (a, b))
+    _check_chain(g, p.edges)
 
 
 def path_range(g, p: FinPath):
@@ -98,9 +116,7 @@ def concat(g, a: FinPath, b: FinPath) -> FinPath:
             "cannot concatenate: source %r != range %r"
             % (path_source(g, a), path_range(g, b))
         )
-    if a.is_empty and b.is_empty:
-        return a
-    return FinPath(a.edges + b.edges)
+    return join_paths(a, b)
 
 
 def append_edge(g, p: FinPath, edge_id) -> FinPath:
@@ -166,12 +182,7 @@ def ev(prefix, cycle) -> EvPath:
 
 
 def check_evpath(g, x: EvPath):
-    for eid in x.prefix + x.cycle:
-        g.edge(eid)
-    word = list(x.prefix) + list(x.cycle) + [x.cycle[0]]
-    for a, b in zip(word, word[1:]):
-        if g.range_of(b) != g.source_of(a):
-            raise InvalidPathError("edges %r then %r do not chain" % (a, b))
+    _check_chain(g, x.prefix + x.cycle + x.cycle[:1])
 
 
 def ev_range(g, x: EvPath):
@@ -296,6 +307,26 @@ def continuations(g, v, length):
     if length == 0:
         return [empty_path(v)]
     return [FinPath(w) for w in acc]
+
+
+def _iter_continuations(g, v, length):
+    """The paths of continuations(g, v, length) one at a time, in the same
+    order: depth first over the in-edge lists."""
+    if length == 0:
+        yield empty_path(v)
+        return
+    word, frames = [], [iter(g.in_edges(v))]
+    while frames:
+        e = next(frames[-1], None)
+        if e is None:
+            frames.pop()
+            if word:
+                word.pop()
+        elif len(frames) == length:
+            yield FinPath(tuple(word) + (e.id,))
+        else:
+            word.append(e.id)
+            frames.append(iter(g.in_edges(e.source)))
 
 
 def all_finpaths(g, length):

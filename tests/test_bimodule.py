@@ -87,6 +87,17 @@ def test_from_cylinders_is_canonical(o2):
         assert s3 == s1
 
 
+def test_constructor_is_canonical(o2):
+    r_a, r_b = cyl(fpath("a"), fpath("a")), cyl(fpath("b"), fpath("b"))
+    built = SpectrumSet(o2, [r_a, r_b])
+    p_v = SpectrumSet.from_cylinders(o2, [cyl(empty_path("v"), empty_path("v"))])
+    assert built == p_v
+    assert hash(built) == hash(p_v)
+    assert len(built) == len(p_v) == 1
+    assert member(o2, cyl(fpath("a", "b"), fpath("a", "b")), built)
+    assert not member(o2, cyl(fpath("a"), fpath("b")), built)
+
+
 def test_member_examples(o2):
     family = SpectrumSet.from_cylinders(o2, [cyl(fpath("a"), fpath("b"))])
     assert member(o2, cyl(fpath("a", "a"), fpath("b", "a")), family)

@@ -253,6 +253,14 @@ def test_separating_projections_connector_condition(o2, e2):
                 assert found.pi.edges[-d:] != found.w.edges[:d]
 
 
+def test_separating_projections_deep_level(o2):
+    found = separating_projections(o2, CKMono(fpath("a"), fpath("b")), 16)
+    assert found.level == 16 and len(found.pi) == 32 and len(found.w) == 16
+    for d in range(1, 17):
+        assert found.pi.edges[-d:] != found.w.edges[:d]
+    assert found.q.alpha.edges == ("a",) + found.pi.edges + found.w.edges
+
+
 def test_separating_projections_preconditions(o2):
     with pytest.raises(PreconditionError):
         separating_projections(o2, CKMono(fpath("a", "a"), fpath("b")), 1)

@@ -210,6 +210,16 @@ def test_loop_growth_examples(o2):
     assert two_step.base == 2 and two_step.verified and two_step.unbounded
 
 
+def test_loop_growth_at_a_huge_period(o2):
+    f = LocallyConstantFn(2, {("a", "a"): Fraction(1, 2), ("a", "b"): -1,
+                              ("b", "a"): 3, ("b", "b"): 0})
+    x = ev((), ("a", "a", "b"))
+    # The windows aa, ab, ba of one cycle sum to 5/2.
+    assert loop_growth(f, x, 6).base == eval_cocycle(f, GroupoidPoint(x, 6, x)) == 5
+    report = loop_growth(f, x, 3 * 10**12)
+    assert report.base == Fraction(5, 2) * 10**12 and report.unbounded
+
+
 def test_loop_growth_preconditions(o2):
     one = LocallyConstantFn.constant(1)
     with pytest.raises(PreconditionError):

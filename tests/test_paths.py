@@ -11,6 +11,7 @@ from ckcalc.errors import (
     NotComposableError,
 )
 from ckcalc.paths import (
+    _iter_continuations,
     EvPath,
     FinPath,
     GroupoidPoint,
@@ -46,6 +47,8 @@ from ckcalc.paths import (
     some_tail_from,
 )
 
+from helpers import small_ordered_graphs
+
 WORDS = st.lists(st.sampled_from(["a", "b"]), max_size=6)
 CYCLES = st.lists(st.sampled_from(["a", "b"]), min_size=1, max_size=4)
 
@@ -69,6 +72,13 @@ def test_check_finpath(o2, e2):
     with pytest.raises(InvalidPathError):
         check_finpath(e2, fpath("c", "h"))
     check_finpath(e2, fpath("c", "d"))
+
+
+@settings(max_examples=40, deadline=None)
+@given(small_ordered_graphs(), st.integers(0, 5))
+def test_lazy_continuations_follow_the_listing(g, length):
+    for v in g.vertices:
+        assert list(_iter_continuations(g, v, length)) == continuations(g, v, length)
 
 
 def test_range_source_concat(e2):
