@@ -97,9 +97,8 @@ class LocallyConstantFn:
 def validate_total(g, f: LocallyConstantFn):
     """Make sure every length-depth path of the graph has a table entry."""
     for p in all_finpaths(g, f.depth):
-        word = p.edges if not p.is_empty else ()
-        if word not in f.table:
-            raise InvalidFunctionError("table misses path %r" % (word,))
+        if p.edges not in f.table:
+            raise InvalidFunctionError("table misses path %r" % (p.edges,))
 
 
 @dataclass(frozen=True)

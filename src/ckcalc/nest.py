@@ -19,10 +19,10 @@ from .graph import OrderedGraph, _require_no_sources
 from .paths import (
     FinPath,
     GroupoidPoint,
+    _level_key,
     _path,
     all_finpaths,
     continuations,
-    empty_path,
     is_s_maximal,
     is_s_minimal,
     lex_compare,
@@ -40,21 +40,32 @@ def _check_nest_graph(og):
     _require_no_sources(og, "the nest layer")
 
 
-def _atom_key(og: OrderedGraph, word, anchor):
-    """Sort key of a level atom given as a raw edge word (or a vertex)."""
-    if word:
-        return tuple(og.pos(e) for e in word)
-    return og.vertex_pos(anchor)
-
-
 def level_atoms(og: OrderedGraph, level):
     """All length-`level` paths, smallest first in the level order."""
     _check_nest_graph(og)
     if level < 0:
         raise BadInputError("level must be nonnegative")
     atoms = all_finpaths(og, level)
-    atoms.sort(key=lambda p: _atom_key(og, p.edges, p.anchor))
+    atoms.sort(key=lambda p: _level_key(og, p.edges, p.anchor))
     return atoms
+
+
+def _atom_place(og: OrderedGraph, atom: FinPath):
+    """1-based place of a level atom in its level, counted without listing
+    the level.  The order is adapted, so an atom before it either has a
+    range whose in-edge block comes earlier, or agrees with it for some
+    steps and then takes an earlier in-edge of the vertex reached; each
+    such edge e starts as many atoms as there are paths of the remaining
+    length into s(e).  The word is read from its end, so one table of
+    path counts, lengthened by one edge per step, serves every step."""
+    place = 1
+    count = dict.fromkeys(og.vertices, 1)  # count[u]: paths into u as long as the rest
+    for eid in reversed(atom.edges):
+        place += sum(count[e.source] for e in og.in_edges(og.range_of(eid))
+                     if og.pos(e.id) < og.pos(eid))
+        count = {u: sum(count[e.source] for e in og.in_edges(u)) for u in og.vertices}
+    block = og.vertex_pos(path_range(og, atom))
+    return place + sum(n for u, n in count.items() if og.vertex_pos(u) < block)
 
 
 def nest_projection(og: OrderedGraph, level, cutpos) -> AlgElement:
@@ -128,22 +139,14 @@ def in_alg_n_oracle(og: OrderedGraph, m: CKMono, level_bound=None):
     ra = path_range(og, m.alpha)
     rb = path_range(og, m.beta)
     for level in range(0, level_bound + 1):
-        if level == 0:
-            if og.vertex_pos(ra) > og.vertex_pos(rb):
-                atoms = level_atoms(og, 0)
-                col_path = empty_path(rb)
-                cut = atoms.index(col_path) + 1
-                return False, NestViolation(0, cut, empty_path(ra), col_path)
-            continue
         depth = max(0, level - min(len(m.alpha), len(m.beta)))
         for w in continuations(og, src, depth):
             row = (m.alpha.edges + w.edges)[:level]
             col = (m.beta.edges + w.edges)[:level]
-            if _atom_key(og, row, None) > _atom_key(og, col, None):
-                atoms = level_atoms(og, level)
-                col_path = FinPath(col)
-                cut = atoms.index(col_path) + 1
-                return False, NestViolation(level, cut, FinPath(row), col_path)
+            if _level_key(og, row, ra) > _level_key(og, col, rb):
+                col_path = _path(col, rb)
+                return False, NestViolation(level, _atom_place(og, col_path),
+                                            _path(row, ra), col_path)
     return True, None
 
 
@@ -179,8 +182,8 @@ def point_in_spectrum_alg_n(og: OrderedGraph, point: GroupoidPoint):
 
 def in_radical_spectrum(og: OrderedGraph, point: GroupoidPoint) -> bool:
     """Spectrum membership with x strictly below y."""
-    member, _ = point_in_spectrum_alg_n(og, point)
-    return member and lex_compare(point.x, point.y, og) < 0
+    _, clause = point_in_spectrum_alg_n(og, point)
+    return clause == "strict_below"
 
 
 def commutator(a: AlgElement, b: AlgElement) -> AlgElement:

@@ -25,7 +25,7 @@ from .errors import (
     LengthMismatchError,
     NotComposableError,
 )
-from .graph import OrderedGraph, strings_from_json_obj
+from .graph import OrderedGraph, _require_no_sources, strings_from_json_obj
 
 
 @dataclass(frozen=True)
@@ -73,6 +73,15 @@ def empty_path(vertex) -> FinPath:
 def _path(edges, vertex) -> FinPath:
     """The path with these edges, or the empty path at vertex if none."""
     return FinPath(edges) if edges else FinPath((), vertex)
+
+
+def _primitive_root(word):
+    """The shortest word whose power is word."""
+    n = len(word)
+    for d in range(1, n):
+        if n % d == 0 and word[:d] * (n // d) == word:
+            return word[:d]
+    return word
 
 
 def join_paths(left: FinPath, tail: FinPath) -> FinPath:
@@ -138,13 +147,8 @@ class EvPath:
         cycle = tuple(cycle)
         if not cycle:
             raise BadInputError("eventually periodic path needs a nonempty cycle")
-        n = len(cycle)
-        for d in range(1, n + 1):
-            if n % d == 0 and cycle[:d] * (n // d) == cycle:
-                cycle = cycle[:d]
-                break
         prefix = list(prefix)
-        cycle = list(cycle)
+        cycle = list(_primitive_root(cycle))
         while prefix and prefix[-1] == cycle[-1]:
             prefix.pop()
             cycle = [cycle[-1]] + cycle[:-1]
@@ -210,25 +214,37 @@ def prepend(p: FinPath, x: EvPath) -> EvPath:
     return EvPath(p.edges + x.prefix, x.cycle)
 
 
+def _extreme_peer(og: OrderedGraph, p: FinPath, pick) -> FinPath:
+    """The least (pick=min) or greatest (pick=max) path of length |p| into
+    s(p), walked by picking one in-edge per step."""
+    if p.is_empty:
+        raise BadInputError("s-extremal tests need a nonempty path")
+    _require_no_sources(og, "the s-extremal tests")
+    v, word = path_source(og, p), []
+    for _ in p.edges:
+        e = pick(og.in_edges(v), key=lambda edge: og.pos(edge.id))
+        word.append(e.id)
+        v = e.source
+    return FinPath(word)
+
+
 def is_s_minimal(og: OrderedGraph, p: FinPath) -> bool:
     """Whether p comes first among equal-length paths into its source.
 
     The competitors are the paths of length |p| whose range is s(p): the
-    paths p can be extended by.  First-edge intervals make the comparison
-    a plain lexicographic one.
+    paths p can be extended by, so p passes iff it is at most the least of
+    them.  That peer is found without listing the peers.  The order is
+    decided at the first differing edge, so the least peer starts with the
+    first in-edge of s(p) in the edge order.  No vertex is a source, so
+    every choice extends to a path of full length, and the same rule picks
+    each later edge.  A graph with sources raises PreconditionError.
     """
-    if p.is_empty:
-        raise BadInputError("s-extremal tests need a nonempty path")
-    peers = continuations(og, path_source(og, p), len(p))
-    return all(lex_compare(p, q, og) <= 0 for q in peers)
+    return lex_compare(p, _extreme_peer(og, p, min), og) <= 0
 
 
 def is_s_maximal(og: OrderedGraph, p: FinPath) -> bool:
     """Whether p comes last among equal-length paths into its source."""
-    if p.is_empty:
-        raise BadInputError("s-extremal tests need a nonempty path")
-    peers = continuations(og, path_source(og, p), len(p))
-    return all(lex_compare(q, p, og) <= 0 for q in peers)
+    return lex_compare(_extreme_peer(og, p, max), p, og) <= 0
 
 
 def sim_k(x: EvPath, k, y: EvPath) -> bool:
@@ -261,6 +277,14 @@ def inverse(g: GroupoidPoint) -> GroupoidPoint:
     return GroupoidPoint(g.y, -g.k, g.x)
 
 
+def _level_key(og: OrderedGraph, word, anchor):
+    """Sort key of a level atom given as a raw edge word, or as the vertex
+    anchoring an empty word: the atoms of one level sort as their keys."""
+    if word:
+        return tuple(og.pos(e) for e in word)
+    return og.vertex_pos(anchor)
+
+
 def lex_compare(x, y, og: OrderedGraph) -> int:
     """-1/0/1 comparison in the edge order; paths must be the same kind.
 
@@ -272,25 +296,22 @@ def lex_compare(x, y, og: OrderedGraph) -> int:
         if len(x) != len(y):
             raise LengthMismatchError("lex compare needs equal lengths")
         if x.is_empty:
-            a, b = og.vertex_pos(x.anchor), og.vertex_pos(y.anchor)
-            return -1 if a < b else (1 if a > b else 0)
-        for a, b in zip(x.edges, y.edges):
-            pa, pb = og.pos(a), og.pos(b)
-            if pa != pb:
-                return -1 if pa < pb else 1
-        return 0
-    if isinstance(x, EvPath) and isinstance(y, EvPath):
+            a, b = _level_key(og, (), x.anchor), _level_key(og, (), y.anchor)
+            return (a > b) - (a < b)
+        pairs = zip(x.edges, y.edges)
+    elif isinstance(x, EvPath) and isinstance(y, EvPath):
         bound = (
             len(x.prefix)
             + len(y.prefix)
             + math.lcm(len(x.cycle), len(y.cycle))
         )
-        for i in range(1, bound + 1):
-            pa, pb = og.pos(x.edge_at(i)), og.pos(y.edge_at(i))
-            if pa != pb:
-                return -1 if pa < pb else 1
-        return 0
-    raise BadInputError("lex compare needs two paths of the same kind")
+        pairs = ((x.edge_at(i), y.edge_at(i)) for i in range(1, bound + 1))
+    else:
+        raise BadInputError("lex compare needs two paths of the same kind")
+    for a, b in pairs:
+        if a != b:
+            return -1 if og.pos(a) < og.pos(b) else 1
+    return 0
 
 
 def continuations(g, v, length):
@@ -348,13 +369,7 @@ def primitive_loops(g, max_len):
         for p in all_finpaths(g, n):
             if path_range(g, p) != path_source(g, p):
                 continue
-            word = p.edges
-            primitive = True
-            for d in range(1, n):
-                if n % d == 0 and word[:d] * (n // d) == word:
-                    primitive = False
-                    break
-            if primitive:
+            if len(_primitive_root(p.edges)) == n:
                 out.append(p)
     return out
 

@@ -67,6 +67,7 @@ from ckcalc.scalars import GaussianRational
 
 from helpers import (
     all_monos,
+    lpa_equal,
     make_rng,
     paths_up_to,
     rand_coeff,
@@ -568,4 +569,6 @@ def test_random_graphs_mix_ordered_and_plain_elements(og, rng):
     projection = nest_projection(og, 1, rng.randint(0, len(og.edges)))
     for a, b in ((over_og, over_plain), (projection, over_og), (projection, over_plain)):
         assert (a + b) - b == a
+        assert lpa_equal((a + b) - b, a)
         assert a * b - b * a == commutator(a, b)
+        assert lpa_equal(a * b - b * a, commutator(a, b))

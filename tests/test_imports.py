@@ -1,8 +1,9 @@
-"""Every module of the package uses each name it imports.
+"""Every module of the package uses each name it imports, and every
+private module-level function is read somewhere in the package.
 
-Helpers move between modules; a stale import left behind still loads, so
-only a static check catches it.  `__init__.py` is excluded: its imports are
-the package's exports.
+Helpers move between modules; a stale import, or a helper whose last caller
+moved away, still loads, so only a static check catches it.  `__init__.py`
+is excluded from the import check: its imports are the package's exports.
 """
 
 import ast
@@ -29,6 +30,22 @@ def unused_imports(source):
     return sorted((line, name) for name, line in imported.items() if name not in used)
 
 
+def unread_private_functions(sources):
+    """Module-level functions named _x in the given module sources that no
+    source reads, by name or as an attribute."""
+    defined, read = [], set()
+    for source in sources:
+        tree = ast.parse(source)
+        defined += [node.name for node in tree.body
+                    if isinstance(node, ast.FunctionDef) and node.name.startswith("_")]
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+    return sorted(name for name in defined if name not in read)
+
+
 def test_unused_imports_are_found():
     source = "from __future__ import annotations\nimport os\nfrom a import b, c as d\nd()\n"
     assert unused_imports(source) == [(2, "os"), (3, "b")]
@@ -37,3 +54,14 @@ def test_unused_imports_are_found():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_module_uses_every_import(path):
     assert unused_imports(path.read_text()) == []
+
+
+def test_unread_private_functions_are_found():
+    first = ("def _kept():\n    pass\ndef _dead():\n    pass\n"
+             "def _imported():\n    pass\ndef public():\n    return _kept()\n")
+    second = "import first\nfrom first import _imported\ndef _moved():\n    pass\nfirst._moved()\n"
+    assert unread_private_functions([first, second]) == ["_dead", "_imported"]
+
+
+def test_every_private_function_is_read():
+    assert unread_private_functions(p.read_text() for p in PACKAGE.glob("*.py")) == []

@@ -1,4 +1,5 @@
 import pytest
+from hypothesis import given, settings
 
 from ckcalc.ckalg import (
     CKMono,
@@ -13,6 +14,7 @@ from ckcalc.errors import BadInputError, InvalidPointError, OutOfRangeError, Pre
 from ckcalc.graph import max_simple_loop_length, validate_order
 from ckcalc.nest import (
     NestViolation,
+    _atom_place,
     commutator,
     default_level_bound,
     in_alg_n,
@@ -25,7 +27,7 @@ from ckcalc.nest import (
 from ckcalc.paths import GroupoidPoint, empty_path, ev, fpath, prepend
 
 from conftest import build_graph
-from helpers import all_monos, make_rng
+from helpers import all_monos, make_rng, small_ordered_graphs
 
 
 def test_level_atoms_order(o2, e2):
@@ -145,6 +147,27 @@ def test_oracle_witness_is_a_real_compression(o2, e2):
                 p = nest_projection(og, witness.level, witness.cutpos)
                 assert not ((one - p) * elem * p).is_zero()
                 assert not ((one - p) * elem * range_projection(og, witness.col)).is_zero()
+
+
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(small_ordered_graphs())
+def test_atom_place_counts_the_level_listing(og):
+    for level in range(5):
+        for place, atom in enumerate(level_atoms(og, level), 1):
+            assert _atom_place(og, atom) == place
+
+
+def test_nest_layer_answers_at_level_40(o2):
+    n = 40
+    assert in_alg_n(o2, CKMono(fpath(*"a" * n), empty_path("v"))) == (True, "s_minimal_tail")
+    # Level-n atoms on O2 read as binary numbers (a=0, b=1), so an atom's
+    # place is one more than its value.
+    m = CKMono(fpath(*"b" * n), fpath(*"b" * (n - 1) + "a"))
+    assert in_alg_n_oracle(o2, m) == (False, NestViolation(n, 2 ** n - 1, m.alpha, m.beta))
+    a, b = ev((), ("a",)), ev((), ("b",))
+    assert point_in_spectrum_alg_n(o2, GroupoidPoint(a, n, a)) == (True, "s_minimal_block")
+    assert point_in_spectrum_alg_n(o2, GroupoidPoint(b, -n, b)) == (True, "s_maximal_block")
+    assert point_in_spectrum_alg_n(o2, GroupoidPoint(a, -n, a)) == (False, None)
 
 
 def test_in_alg_n_matches_oracle_smoke(o2):

@@ -9,7 +9,9 @@ from ckcalc.errors import (
     InvalidPointError,
     LengthMismatchError,
     NotComposableError,
+    PreconditionError,
 )
+from ckcalc.graph import Edge, Graph, OrderedGraph
 from ckcalc.paths import (
     _iter_continuations,
     EvPath,
@@ -47,7 +49,8 @@ from ckcalc.paths import (
     some_tail_from,
 )
 
-from helpers import small_ordered_graphs
+from conftest import build_graph
+from helpers import make_rng, small_ordered_graphs
 
 WORDS = st.lists(st.sampled_from(["a", "b"]), max_size=6)
 CYCLES = st.lists(st.sampled_from(["a", "b"]), min_size=1, max_size=4)
@@ -235,6 +238,39 @@ def test_s_extremal(o2, e2):
     # In e2 the peers of h (paths of length 1 into source u) are c and h.
     assert not is_s_minimal(e2, fpath("h"))
     assert is_s_minimal(e2, fpath("c"))
+
+
+def _s_extremal_by_listing(og, p):
+    """(is_s_minimal, is_s_maximal) of p, comparing it with every peer."""
+    peers = continuations(og, path_source(og, p), len(p))
+    return (all(lex_compare(p, q, og) <= 0 for q in peers),
+            all(lex_compare(q, p, og) <= 0 for q in peers))
+
+
+def test_s_extremal_walk_matches_listing_the_peers():
+    # The walk needs no adapted order, so the orders here are plain shuffles.
+    rng = make_rng(17)
+    adapted = []
+    for _ in range(60):
+        vertices = ["v%d" % i for i in range(rng.randint(1, 4))]
+        edges = [Edge("e%s%d" % (v[1:], i), v, rng.choice(vertices))
+                 for v in vertices for i in range(rng.randint(1, 3))]
+        order = [e.id for e in edges]
+        rng.shuffle(order)
+        og = OrderedGraph(Graph(vertices, edges), order)
+        adapted.append(og.adapted)
+        for length in (1, 2, 3):
+            for p in all_finpaths(og, length):
+                assert (is_s_minimal(og, p), is_s_maximal(og, p)) == _s_extremal_by_listing(og, p)
+    assert any(adapted) and not all(adapted)
+
+
+def test_s_extremal_refuses_sources():
+    # u is the range of no edge, so S_f would have no peers to compare with.
+    og = build_graph(["u", "v"], [("a", "v", "v"), ("f", "v", "u")], order=["a", "f"])
+    for test in (is_s_minimal, is_s_maximal):
+        with pytest.raises(PreconditionError, match="u is the range of no edge"):
+            test(og, fpath("f"))
 
 
 def test_cylinders_and_tails(o2, e2):
