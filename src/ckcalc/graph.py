@@ -143,6 +143,12 @@ class OrderedGraph(Graph):
         return self._vertex_pos[v]
 
 
+def _require_order(graph: Graph, layer):
+    """Raise PreconditionError unless the graph carries an edge order."""
+    if not isinstance(graph, OrderedGraph):
+        raise PreconditionError("%s needs a graph with an edge order" % layer)
+
+
 def _require_no_sources(graph: Graph, layer):
     """Raise PreconditionError naming the sources, if there are any."""
     if graph.sources:

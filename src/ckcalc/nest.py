@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 from .ckalg import AlgElement, CKMono, check_mono, mono_source, path_tail_of
 from .errors import BadInputError, OutOfRangeError, PreconditionError
-from .graph import OrderedGraph, _require_no_sources
+from .graph import OrderedGraph, _require_no_sources, _require_order
 from .paths import (
     FinPath,
     GroupoidPoint,
@@ -32,8 +32,7 @@ from .paths import (
 
 def _check_nest_graph(og):
     """Raise unless og is an OrderedGraph with an adapted order and no sources."""
-    if not isinstance(og, OrderedGraph):
-        raise PreconditionError("the nest layer needs a graph with an edge order")
+    _require_order(og, "the nest layer")
     if not og.adapted:
         raise PreconditionError("edge order is not adapted: in-edges of %s are not an "
                                 "interval" % ", ".join(og.order_violations))

@@ -25,7 +25,7 @@ from .errors import (
     LengthMismatchError,
     NotComposableError,
 )
-from .graph import OrderedGraph, _require_no_sources, strings_from_json_obj
+from .graph import OrderedGraph, _require_no_sources, _require_order, strings_from_json_obj
 
 
 @dataclass(frozen=True)
@@ -219,6 +219,7 @@ def _extreme_peer(og: OrderedGraph, p: FinPath, pick) -> FinPath:
     s(p), walked by picking one in-edge per step."""
     if p.is_empty:
         raise BadInputError("s-extremal tests need a nonempty path")
+    _require_order(og, "the s-extremal tests")
     _require_no_sources(og, "the s-extremal tests")
     v, word = path_source(og, p), []
     for _ in p.edges:
@@ -291,7 +292,9 @@ def lex_compare(x, y, og: OrderedGraph) -> int:
     Finite paths must have equal length; empty paths compare by the vertex
     block order their anchors occupy.  Eventually periodic paths compare
     edgewise out to a bound beyond which equality is forced by periodicity.
+    A graph without an edge order raises PreconditionError.
     """
+    _require_order(og, "lex compare")
     if isinstance(x, FinPath) and isinstance(y, FinPath):
         if len(x) != len(y):
             raise LengthMismatchError("lex compare needs equal lengths")

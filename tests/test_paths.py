@@ -273,6 +273,19 @@ def test_s_extremal_refuses_sources():
             test(og, fpath("f"))
 
 
+def test_order_tests_refuse_a_graph_without_edge_order():
+    g = Graph(["v"], [Edge("a", "v", "v"), Edge("b", "v", "v")])
+    calls = (
+        lambda: is_s_minimal(g, fpath("a")),
+        lambda: is_s_maximal(g, fpath("a")),
+        lambda: lex_compare(fpath("a"), fpath("b"), g),
+        lambda: lex_compare(ev((), ("a",)), ev((), ("b",)), g),
+    )
+    for call in calls:
+        with pytest.raises(PreconditionError, match="needs a graph with an edge order"):
+            call()
+
+
 def test_cylinders_and_tails(o2, e2):
     x = ev(("a",), ("b",))
     assert in_cylinder(o2, x, fpath("a"))
