@@ -49,12 +49,17 @@ class SpectrumSet:
 
     def __init__(self, graph, cylinders):
         graph = underlying(graph)
+        # A basic set at a source is empty, as it is for elements.
+        _require_no_sources(graph, "a spectrum")
         leaves = _coarsest(graph, ((c, True) for c in cylinders), operator.or_)
         object.__setattr__(self, "graph", graph)
         object.__setattr__(self, "cylinders", frozenset(leaves))
 
     def __setattr__(self, name, value):
         raise AttributeError("SpectrumSet is immutable")
+
+    def __reduce__(self):
+        return SpectrumSet, (self.graph, self.cylinders)
 
     @classmethod
     def from_cylinders(cls, g, cylinders) -> "SpectrumSet":
@@ -67,7 +72,7 @@ class SpectrumSet:
     def __eq__(self, other):
         if not isinstance(other, SpectrumSet):
             return NotImplemented
-        return self.cylinders == other.cylinders
+        return self.graph is other.graph and self.cylinders == other.cylinders
 
     def __hash__(self):
         return hash(self.cylinders)
@@ -84,13 +89,16 @@ class SpectrumSet:
 
 def member(g, m: CKMono, spectrum: SpectrumSet) -> bool:
     """Whether the basic set of m is covered by the spectrum family: adding
-    it leaves the canonical family as it was."""
+    it leaves the canonical family as it was.  g must be the spectrum's graph."""
+    if underlying(g) is not spectrum.graph:
+        raise BadInputError("the spectrum lives over a different graph")
     return SpectrumSet.from_cylinders(g, [*spectrum.cylinders, m]) == spectrum
 
 
 def generated_spectrum(gens) -> SpectrumSet:
     """Spectrum of the bimodule generated by the given elements: the union
-    of the basic sets of all graded parts of all generators."""
+    of the basic sets of all graded parts of all generators, which is also
+    the spectrum of its spectral closure (see bimodule_member)."""
     gens = list(gens)
     if not gens:
         raise BadInputError("need at least one generator")
@@ -101,7 +109,11 @@ def generated_spectrum(gens) -> SpectrumSet:
 
 
 def bimodule_member(a: AlgElement, gens) -> bool:
-    """Whether a lies in the closed diagonal bimodule the generators span."""
+    """Whether a lies in the spectral closure of the generators: the largest
+    closed diagonal bimodule with spectrum generated_spectrum(gens).  That is
+    their span whenever the span is determined by its spectrum, as when every
+    loop has an entrance.  Otherwise it can be larger: on one vertex v with
+    one loop a, S_a, p_v and p_v - S_a all lie in it for the generator p_v + S_a."""
     spectrum = generated_spectrum(gens)
     _same_graph(a, spectrum)
     return SpectrumSet.from_cylinders(a.graph, [*spectrum.cylinders, *a.terms]) == spectrum

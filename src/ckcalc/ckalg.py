@@ -45,9 +45,10 @@ from .graph import (
 from .paths import (
     FinPath,
     GroupoidPoint,
-    _iter_continuations,
     _path,
+    _walk,
     check_finpath,
+    continuations,
     empty_path,
     join_paths,
     path_range,
@@ -136,10 +137,8 @@ def refine_children(g, m: CKMono):
 
 
 def _refine_to(g, m: CKMono, beta_len):
-    out = [m]
-    while len(out[0].beta) < beta_len:
-        out = [child for mono in out for child in refine_children(g, mono)]
-    return out
+    return [CKMono(join_paths(m.alpha, w), join_paths(m.beta, w))
+            for w in continuations(g, mono_source(g, m), beta_len - len(m.beta))]
 
 
 def _key(g, m: CKMono):
@@ -252,6 +251,10 @@ class AlgElement:
 
     def __setattr__(self, name, value):
         raise AttributeError("AlgElement is immutable")
+
+    def __reduce__(self):
+        # Through _trusted, so a refined listing from normalize is kept as is.
+        return AlgElement._trusted, (self.graph, self.terms)
 
     def is_zero(self):
         return not self.terms
@@ -506,12 +509,10 @@ class SeparatingProjections:
     level: int
 
 
-def _connector_condition(pi: FinPath, w: FinPath, k) -> bool:
-    """No initial segment of w equals the matching final segment of pi."""
-    for d in range(1, k + 1):
-        if pi.edges[-d:] == w.edges[:d]:
-            return False
-    return True
+def _connector_condition(pi, w, k) -> bool:
+    """No initial segment of the word w equals the matching final segment
+    of the word pi."""
+    return all(pi[-d:] != w[:d] for d in range(1, k + 1))
 
 
 def separating_projections(g, e: CKMono, k) -> SeparatingProjections:
@@ -530,17 +531,17 @@ def separating_projections(g, e: CKMono, k) -> SeparatingProjections:
     src = mono_source(g, e)
     cap = k + len(g.vertices) + len(g.edges) + 2
     for k_eff in range(k, cap + 1):
-        for pi in _iter_continuations(g, src, 2 * k_eff):
-            for w in _iter_continuations(g, path_source(g, pi), k_eff):
+        for pi in _walk(g, src, 2 * k_eff):
+            for w in _walk(g, g.source_of(pi[-1]), k_eff):
                 if _connector_condition(pi, w, k_eff):
-                    pi_w = FinPath(pi.edges + w.edges)
+                    pi_w = FinPath(pi + w)
                     p_path = join_paths(e.beta, pi_w)
                     q_path = join_paths(e.alpha, pi_w)
                     return SeparatingProjections(
                         p=CKMono(p_path, p_path),
                         q=CKMono(q_path, q_path),
-                        pi=pi,
-                        w=w,
+                        pi=FinPath(pi),
+                        w=FinPath(w),
                         level=k_eff,
                     )
     raise SearchFailureError(

@@ -237,7 +237,7 @@ COMMANDS = (
     Command("spectrum", "support basic sets of an element", (GRAPH, ELEMENT),
             lambda a: ckalg.support_spectrum(a.element),
             lambda s: {"spectrum": bimodule.spectrum_to_json_obj(s)}),
-    Command("bimodule-member", "membership in a generated bimodule",
+    Command("bimodule-member", "membership in the generators' spectral closure",
             (GRAPH, ELEMENT, _file("gens", _gens, help="JSON list of generator elements")),
             lambda a: bimodule.bimodule_member(a.element, a.gens), _keys("member")),
     Command("analytic-member", "monomial in the cocycle-analytic part", (GRAPH, FN, MONO),

@@ -28,9 +28,9 @@ from .paths import (
     EvPath,
     FinPath,
     GroupoidPoint,
-    all_finpaths,
+    _path,
+    _walk,
     check_finpath,
-    continuations,
     empty_path,
     enumerate_evpaths,
     inverse,
@@ -66,6 +66,9 @@ class LocallyConstantFn:
     def __setattr__(self, name, value):
         raise AttributeError("LocallyConstantFn is immutable")
 
+    def __reduce__(self):
+        return LocallyConstantFn, (self.depth, self.table)
+
     @classmethod
     def constant(cls, value) -> "LocallyConstantFn":
         return cls(0, {(): Fraction(value)})
@@ -96,9 +99,10 @@ class LocallyConstantFn:
 
 def validate_total(g, f: LocallyConstantFn):
     """Make sure every length-depth path of the graph has a table entry."""
-    for p in all_finpaths(g, f.depth):
-        if p.edges not in f.table:
-            raise InvalidFunctionError("table misses path %r" % (p.edges,))
+    for v in sorted(g.vertices):
+        for word in _walk(g, v, f.depth):
+            if word not in f.table:
+                raise InvalidFunctionError("table misses path %r" % (word,))
 
 
 @dataclass(frozen=True)
@@ -337,7 +341,9 @@ def is_z1_0_sampled(f: LocallyConstantFn, samples) -> Z10Report:
 def _cocycle_pieces(g, f: LocallyConstantFn, m):
     """Refine the basic set of the monomial m by every continuation window w
     of the function depth, yielding (w, the cocycle's value on that piece)."""
-    for w in continuations(g, path_source(g, m.alpha), f.depth):
+    src = path_source(g, m.alpha)
+    for word in _walk(g, src, f.depth):
+        w = _path(word, src)
         yield w, eval_cocycle_tailed(f, TailedPair(m.alpha, m.beta, w))
 
 

@@ -44,16 +44,19 @@ class Graph:
             vset.add(v)
         self.vertex_set = frozenset(vset)
         self.edge_by_id = {}
-        self._in = {v: [] for v in self.vertices}
-        self._out = {v: [] for v in self.vertices}
+        ins = {v: [] for v in self.vertices}
+        outs = {v: [] for v in self.vertices}
         for e in self.edges:
             if e.id in self.edge_by_id:
                 raise InvalidGraphError("duplicate edge id %r" % e.id)
             if e.range not in vset or e.source not in vset:
                 raise InvalidGraphError("edge %r touches unknown vertex" % e.id)
             self.edge_by_id[e.id] = e
-            self._in[e.range].append(e)
-            self._out[e.source].append(e)
+            ins[e.range].append(e)
+            outs[e.source].append(e)
+        # Tuples built once: the path walks ask for them at every step.
+        self._in = {v: tuple(es) for v, es in ins.items()}
+        self._out = {v: tuple(es) for v, es in outs.items()}
         # Vertices that are the range of no edge, which the algebra excludes.
         self.sources = tuple(sorted(v for v in self.vertices if not self._in[v]))
         # Set here, not on first use: on CPython 3.11 an attribute added after
@@ -70,10 +73,10 @@ class Graph:
 
     def in_edges(self, v):
         """Edges whose range is v: the edges a path at v can start with."""
-        return tuple(self._in[v])
+        return self._in[v]
 
     def out_edges(self, v):
-        return tuple(self._out[v])
+        return self._out[v]
 
     def edge(self, edge_id) -> Edge:
         try:

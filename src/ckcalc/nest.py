@@ -21,8 +21,8 @@ from .paths import (
     GroupoidPoint,
     _level_key,
     _path,
+    _walk,
     all_finpaths,
-    continuations,
     is_s_maximal,
     is_s_minimal,
     lex_compare,
@@ -139,9 +139,9 @@ def in_alg_n_oracle(og: OrderedGraph, m: CKMono, level_bound=None):
     rb = path_range(og, m.beta)
     for level in range(0, level_bound + 1):
         depth = max(0, level - min(len(m.alpha), len(m.beta)))
-        for w in continuations(og, src, depth):
-            row = (m.alpha.edges + w.edges)[:level]
-            col = (m.beta.edges + w.edges)[:level]
+        for w in _walk(og, src, depth):
+            row = (m.alpha.edges + w)[:level]
+            col = (m.beta.edges + w)[:level]
             if _level_key(og, row, ra) > _level_key(og, col, rb):
                 col_path = _path(col, rb)
                 return False, NestViolation(level, _atom_place(og, col_path),

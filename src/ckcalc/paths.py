@@ -158,6 +158,9 @@ class EvPath:
     def __setattr__(self, name, value):
         raise AttributeError("EvPath is immutable")
 
+    def __reduce__(self):
+        return EvPath, (self.prefix, self.cycle)
+
     def __eq__(self, other):
         if not isinstance(other, EvPath):
             return NotImplemented
@@ -317,27 +320,11 @@ def lex_compare(x, y, og: OrderedGraph) -> int:
     return 0
 
 
-def continuations(g, v, length):
-    """All paths of the given length whose range is v, in edge-list order."""
-    acc = [()]
-    cur_sources = [v]
-    for _ in range(length):
-        nxt, nxt_src = [], []
-        for word, src in zip(acc, cur_sources):
-            for e in g.in_edges(src):
-                nxt.append(word + (e.id,))
-                nxt_src.append(e.source)
-        acc, cur_sources = nxt, nxt_src
+def _walk(g, v, length):
+    """The edge words of the paths of the given length whose range is v, one
+    at a time: depth first over the in-edge lists, so in in-edge order."""
     if length == 0:
-        return [empty_path(v)]
-    return [FinPath(w) for w in acc]
-
-
-def _iter_continuations(g, v, length):
-    """The paths of continuations(g, v, length) one at a time, in the same
-    order: depth first over the in-edge lists."""
-    if length == 0:
-        yield empty_path(v)
+        yield ()
         return
     word, frames = [], [iter(g.in_edges(v))]
     while frames:
@@ -347,18 +334,20 @@ def _iter_continuations(g, v, length):
             if word:
                 word.pop()
         elif len(frames) == length:
-            yield FinPath(tuple(word) + (e.id,))
+            yield (*word, e.id)
         else:
             word.append(e.id)
             frames.append(iter(g.in_edges(e.source)))
 
 
+def continuations(g, v, length):
+    """All paths of the given length whose range is v, in edge-list order."""
+    return [_path(w, v) for w in _walk(g, v, length)]
+
+
 def all_finpaths(g, length):
     """All paths of the given length, grouped by range vertex in vertex order."""
-    out = []
-    for v in sorted(g.vertices):
-        out.extend(continuations(g, v, length))
-    return out
+    return [p for v in sorted(g.vertices) for p in continuations(g, v, length)]
 
 
 def paths_with_source(g, v, length):
@@ -367,30 +356,25 @@ def paths_with_source(g, v, length):
 
 def primitive_loops(g, max_len):
     """All primitive loops (range == source, not a proper power), length <= max_len."""
-    out = []
-    for n in range(1, max_len + 1):
-        for p in all_finpaths(g, n):
-            if path_range(g, p) != path_source(g, p):
-                continue
-            if len(_primitive_root(p.edges)) == n:
-                out.append(p)
-    return out
+    return [FinPath(w) for n in range(1, max_len + 1) for v in sorted(g.vertices)
+            for w in _walk(g, v, n)
+            if g.source_of(w[-1]) == v and len(_primitive_root(w)) == n]
 
 
 def enumerate_evpaths(g, max_prefix_len, max_cycle_len):
-    """All canonical eventually periodic paths within the given size bounds."""
-    seen = set()
-    out = []
+    """All canonical eventually periodic paths within the given size bounds:
+    each prefix walked out of each vertex, then each primitive loop based at
+    the prefix's source."""
+    loops = {}
     for loop in primitive_loops(g, max_cycle_len):
-        base = path_range(g, loop)
-        for plen in range(0, max_prefix_len + 1):
-            for pre in paths_with_source(g, base, plen):
-                x = EvPath(pre.edges, loop.edges)
-                if x not in seen:
-                    seen.add(x)
-                    out.append(x)
-    out.sort(key=lambda x: (len(x.prefix), x.prefix, len(x.cycle), x.cycle))
-    return out
+        loops.setdefault(g.range_of(loop.edges[0]), []).append(loop.edges)
+    out = set()
+    for plen in range(max_prefix_len + 1):
+        for v in g.vertices:
+            for pre in _walk(g, v, plen):
+                base = g.source_of(pre[-1]) if pre else v
+                out.update(EvPath(pre, cycle) for cycle in loops.get(base, ()))
+    return sorted(out, key=lambda x: (len(x.prefix), x.prefix, len(x.cycle), x.cycle))
 
 
 def some_tail_from(g, v) -> EvPath:

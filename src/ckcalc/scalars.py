@@ -57,6 +57,9 @@ class GaussianRational:
     def __setattr__(self, name, value):
         raise AttributeError("GaussianRational is immutable")
 
+    def __reduce__(self):
+        return _trusted, self._triple
+
     @property
     def re(self) -> Fraction:
         a, _, d = self._triple

@@ -2,8 +2,11 @@
 
 Every random object is drawn from a caller-supplied random.Random so each
 test controls its own seed and stays reproducible.  Random graphs come from
-the hypothesis strategy small_ordered_graphs.  lpa_coefficients is an
-equality oracle that shares no code with the library's normal form.
+the hypothesis strategy small_ordered_graphs or from random_graph.
+lpa_coefficients is an equality oracle that shares no code with the
+library's normal form.  The reference_* functions are the list-and-filter
+path enumerators and the full-scan nest oracle that the library's lazy walk
+(paths._walk) replaced; they share no enumeration code with it.
 """
 
 import random
@@ -14,11 +17,18 @@ from hypothesis import strategies as st
 from ckcalc.ckalg import AlgElement, CKMono
 from ckcalc.cocycle import LocallyConstantFn
 from ckcalc.graph import Edge, Graph, OrderedGraph, underlying
+from ckcalc.nest import NestViolation, _atom_place, default_level_bound
 from ckcalc.paths import (
+    EvPath,
+    FinPath,
     GroupoidPoint,
+    _level_key,
+    _path,
     all_finpaths,
+    empty_path,
     enumerate_evpaths,
     ev_range,
+    path_range,
     path_source,
     paths_with_source,
     prepend,
@@ -151,3 +161,99 @@ def lpa_equal(a, b):
     """a == b decided in the Leavitt path algebra basis."""
     return lpa_coefficients(a.graph, a.terms.items()) == lpa_coefficients(
         b.graph, b.terms.items())
+
+
+def random_graph(rng, max_vertices=4, max_in=3, sources=True):
+    """A Graph whose vertices are each the range of 0..max_in edges (at
+    least one unless sources) drawn from uniform sources, so parallel edges
+    and self-loops occur."""
+    vertices = ["v%d" % i for i in range(rng.randint(1, max_vertices))]
+    edges = [Edge("e%s%d" % (v[1:], i), v, rng.choice(vertices))
+             for v in vertices for i in range(rng.randint(0 if sources else 1, max_in))]
+    return Graph(vertices, edges)
+
+
+def adapted_order(rng, g):
+    """g under an adapted order: its in-edge blocks, and the edges inside
+    each block, shuffled."""
+    blocks = [[e.id for e in g.in_edges(v)] for v in g.vertices]
+    rng.shuffle(blocks)
+    order = []
+    for block in blocks:
+        rng.shuffle(block)
+        order.extend(block)
+    return OrderedGraph(g, order)
+
+
+def reference_continuations(g, v, length):
+    """Every path of the given length whose range is v, breadth first."""
+    acc = [()]
+    cur_sources = [v]
+    for _ in range(length):
+        nxt, nxt_src = [], []
+        for word, src in zip(acc, cur_sources):
+            for e in g.in_edges(src):
+                nxt.append(word + (e.id,))
+                nxt_src.append(e.source)
+        acc, cur_sources = nxt, nxt_src
+    if length == 0:
+        return [empty_path(v)]
+    return [FinPath(w) for w in acc]
+
+
+def reference_all_finpaths(g, length):
+    return [p for v in sorted(g.vertices) for p in reference_continuations(g, v, length)]
+
+
+def reference_paths_with_source(g, v, length):
+    return [p for p in reference_all_finpaths(g, length) if path_source(g, p) == v]
+
+
+def reference_primitive_loops(g, max_len):
+    """Every path of each length that is a loop and no power of a shorter word."""
+    out = []
+    for n in range(1, max_len + 1):
+        for p in reference_all_finpaths(g, n):
+            if path_range(g, p) != path_source(g, p):
+                continue
+            w = p.edges
+            if not any(n % d == 0 and w[:d] * (n // d) == w for d in range(1, n)):
+                out.append(p)
+    return out
+
+
+def reference_enumerate_evpaths(g, max_prefix_len, max_cycle_len):
+    """Each primitive loop under each prefix ending at its base, listed by
+    filtering all paths of the prefix length."""
+    seen = set()
+    out = []
+    for loop in reference_primitive_loops(g, max_cycle_len):
+        base = path_range(g, loop)
+        for plen in range(0, max_prefix_len + 1):
+            for pre in reference_paths_with_source(g, base, plen):
+                x = EvPath(pre.edges, loop.edges)
+                if x not in seen:
+                    seen.add(x)
+                    out.append(x)
+    out.sort(key=lambda x: (len(x.prefix), x.prefix, len(x.cycle), x.cycle))
+    return out
+
+
+def reference_oracle(og, m, level_bound=None):
+    """in_alg_n_oracle by a full scan: every continuation of every level is
+    listed, and the first row after its col is the witness."""
+    if level_bound is None:
+        level_bound = default_level_bound(og, m)
+    src = path_source(og, m.alpha)
+    ra = path_range(og, m.alpha)
+    rb = path_range(og, m.beta)
+    for level in range(0, level_bound + 1):
+        depth = max(0, level - min(len(m.alpha), len(m.beta)))
+        for w in reference_continuations(og, src, depth):
+            row = (m.alpha.edges + w.edges)[:level]
+            col = (m.beta.edges + w.edges)[:level]
+            if _level_key(og, row, ra) > _level_key(og, col, rb):
+                col_path = _path(col, rb)
+                return False, NestViolation(level, _atom_place(og, col_path),
+                                            _path(row, ra), col_path)
+    return True, None

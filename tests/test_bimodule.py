@@ -175,6 +175,40 @@ def test_bimodule_member_rejects_generators_over_another_graph(o2):
         bimodule_member(path_isometry(o2, fpath("a")), gens)
 
 
+def test_bimodule_member_decides_the_spectral_closure(single_loop):
+    # One vertex, one loop: the diagonal is C p_v, so the span of D (p_v + S_a) D
+    # holds only multiples of p_v + S_a, yet all three share its spectrum.
+    g = underlying(single_loop)
+    p, s = vertex_projection(g, "v"), path_isometry(g, fpath("a"))
+    for a in (s, p, p - s):
+        assert bimodule_member(a, [p + s])
+
+
+def test_spectrum_refuses_sources():
+    g = build_graph(["u", "v"], [("a", "v", "v"), ("f", "v", "u")])
+    p_u = CKMono(empty_path("u"), empty_path("u"))
+    with pytest.raises(PreconditionError, match="u is the range of no edge"):
+        SpectrumSet(g, [p_u])
+    with pytest.raises(PreconditionError, match="u is the range of no edge"):
+        spectrum_from_json_obj(g, [{"alpha": [], "beta": [], "anchor": "u"}])
+
+
+def test_spectra_over_different_graphs_differ(o2):
+    twin = build_graph(["v"], [("a", "v", "v"), ("b", "v", "v")], order=["a", "b"])
+    sets = [cyl(fpath("a"), fpath("b"))]
+    assert SpectrumSet(o2, sets) != SpectrumSet(twin, sets)
+    assert SpectrumSet(o2, sets) == SpectrumSet(underlying(o2), sets)
+
+
+def test_member_rejects_a_spectrum_over_another_graph(o2):
+    twin = build_graph(["v"], [("a", "v", "v"), ("b", "v", "v")], order=["a", "b"])
+    spectrum = SpectrumSet(o2, [cyl(fpath("a"), fpath("b"))])
+    m = cyl(fpath("a", "a"), fpath("b", "a"))
+    assert member(o2, m, spectrum)
+    with pytest.raises(BadInputError, match="different graph"):
+        member(twin, m, spectrum)
+
+
 def test_bimodule_member_closed_under_refinement(o2, e2):
     rng = make_rng(23)
     for g in (o2, e2):

@@ -180,3 +180,11 @@ def test_vertex_pos_blocks(e2):
     assert e2.pos("c") == 0
     assert e2.pos("h") == 1
     assert e2.pos("d") == 2
+
+
+def test_edge_tuples_are_built_once(e2):
+    for v in e2.vertices:
+        assert e2.in_edges(v) is e2.in_edges(v)
+        assert e2.out_edges(v) is e2.out_edges(v)
+        assert e2.in_edges(v) == tuple(e for e in e2.edges if e.range == v)
+        assert e2.out_edges(v) == tuple(e for e in e2.edges if e.source == v)

@@ -11,7 +11,7 @@ from ckcalc.ckalg import (
     zero,
 )
 from ckcalc.errors import BadInputError, InvalidPointError, OutOfRangeError, PreconditionError
-from ckcalc.graph import max_simple_loop_length, validate_order
+from ckcalc.graph import OrderedGraph, max_simple_loop_length, validate_order
 from ckcalc.nest import (
     NestViolation,
     _atom_place,
@@ -27,7 +27,14 @@ from ckcalc.nest import (
 from ckcalc.paths import GroupoidPoint, empty_path, ev, fpath, prepend
 
 from conftest import build_graph
-from helpers import all_monos, make_rng, small_ordered_graphs
+from helpers import (
+    adapted_order,
+    all_monos,
+    make_rng,
+    random_graph,
+    reference_oracle,
+    small_ordered_graphs,
+)
 
 
 def test_level_atoms_order(o2, e2):
@@ -175,6 +182,26 @@ def test_in_alg_n_matches_oracle_smoke(o2):
         member, _ = in_alg_n(o2, m)
         oracle_member, _ = in_alg_n_oracle(o2, m)
         assert member == oracle_member, m
+
+
+def test_oracle_matches_the_full_scan_on_random_graphs():
+    rng = make_rng(41)
+    checked = 0
+    for _ in range(30):
+        og = adapted_order(rng, random_graph(rng, max_in=2, sources=False))
+        for m in all_monos(og, 3):
+            bound = len(m.alpha) + len(m.beta) + 3
+            assert in_alg_n_oracle(og, m, bound) == reference_oracle(og, m, bound), m
+            checked += 1
+    assert checked > 5000
+
+
+def test_oracle_matches_the_full_scan_on_the_fixtures(o2, single_loop, c2, loop3, loop3e, e2):
+    for g in (o2, single_loop, c2, loop3, loop3e, e2):
+        og = g if isinstance(g, OrderedGraph) else OrderedGraph(
+            g, [e.id for v in g.vertices for e in g.in_edges(v)])
+        for m in all_monos(og, 3):
+            assert in_alg_n_oracle(og, m) == reference_oracle(og, m), m
 
 
 def test_default_level_bound(o2):

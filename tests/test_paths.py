@@ -13,7 +13,7 @@ from ckcalc.errors import (
 )
 from ckcalc.graph import Edge, Graph, OrderedGraph
 from ckcalc.paths import (
-    _iter_continuations,
+    _walk,
     EvPath,
     FinPath,
     GroupoidPoint,
@@ -50,7 +50,16 @@ from ckcalc.paths import (
 )
 
 from conftest import build_graph
-from helpers import make_rng, small_ordered_graphs
+from helpers import (
+    make_rng,
+    random_graph,
+    reference_all_finpaths,
+    reference_continuations,
+    reference_enumerate_evpaths,
+    reference_paths_with_source,
+    reference_primitive_loops,
+    small_ordered_graphs,
+)
 
 WORDS = st.lists(st.sampled_from(["a", "b"]), max_size=6)
 CYCLES = st.lists(st.sampled_from(["a", "b"]), min_size=1, max_size=4)
@@ -81,7 +90,28 @@ def test_check_finpath(o2, e2):
 @given(small_ordered_graphs(), st.integers(0, 5))
 def test_lazy_continuations_follow_the_listing(g, length):
     for v in g.vertices:
-        assert list(_iter_continuations(g, v, length)) == continuations(g, v, length)
+        words = [p.edges for p in reference_continuations(g, v, length)]
+        assert list(_walk(g, v, length)) == words
+
+
+def test_enumerators_match_the_listing_references():
+    rng = make_rng(12)
+    graphs = [random_graph(rng) for _ in range(60)]
+    for g in graphs:
+        for length in range(5):
+            for v in g.vertices:
+                assert continuations(g, v, length) == reference_continuations(g, v, length)
+                assert paths_with_source(g, v, length) == reference_paths_with_source(
+                    g, v, length)
+            assert all_finpaths(g, length) == reference_all_finpaths(g, length)
+        assert primitive_loops(g, 4) == reference_primitive_loops(g, 4)
+        for max_prefix, max_cycle in ((0, 1), (2, 2), (3, 3)):
+            assert enumerate_evpaths(g, max_prefix, max_cycle) == reference_enumerate_evpaths(
+                g, max_prefix, max_cycle)
+    edge_lists = [[(e.range, e.source) for e in g.edges] for g in graphs]
+    assert any(g.sources for g in graphs) and not all(g.sources for g in graphs)
+    assert any(len(set(pairs)) < len(pairs) for pairs in edge_lists)  # parallel edges
+    assert any(r == s for pairs in edge_lists for r, s in pairs)  # self-loops
 
 
 def test_range_source_concat(e2):
