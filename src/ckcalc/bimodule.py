@@ -51,9 +51,20 @@ class SpectrumSet:
         graph = underlying(graph)
         # A basic set at a source is empty, as it is for elements.
         _require_no_sources(graph, "a spectrum")
-        leaves = _coarsest(graph, ((c, True) for c in cylinders), operator.or_)
+        cylinders = list(cylinders)
+        for c in set(cylinders):
+            check_mono(graph, c)
         object.__setattr__(self, "graph", graph)
-        object.__setattr__(self, "cylinders", frozenset(leaves))
+        object.__setattr__(self, "cylinders", _union(graph, cylinders))
+
+    @classmethod
+    def _of_checked(cls, graph, cylinders):
+        """The family of basic sets over a plain graph without sources, whose
+        monomials are already checked against it."""
+        s = object.__new__(cls)
+        object.__setattr__(s, "graph", graph)
+        object.__setattr__(s, "cylinders", _union(graph, cylinders))
+        return s
 
     def __setattr__(self, name, value):
         raise AttributeError("SpectrumSet is immutable")
@@ -87,12 +98,18 @@ class SpectrumSet:
         return "SpectrumSet(%d basic sets)" % len(self.cylinders)
 
 
+def _union(g, cylinders):
+    """The canonical family covering the union of the basic sets."""
+    return frozenset(_coarsest(g, ((c, True) for c in cylinders), operator.or_))
+
+
 def member(g, m: CKMono, spectrum: SpectrumSet) -> bool:
     """Whether the basic set of m is covered by the spectrum family: adding
     it leaves the canonical family as it was.  g must be the spectrum's graph."""
     if underlying(g) is not spectrum.graph:
         raise BadInputError("the spectrum lives over a different graph")
-    return SpectrumSet.from_cylinders(g, [*spectrum.cylinders, m]) == spectrum
+    check_mono(spectrum.graph, m)
+    return _union(spectrum.graph, [*spectrum.cylinders, m]) == spectrum.cylinders
 
 
 def generated_spectrum(gens) -> SpectrumSet:
@@ -105,7 +122,7 @@ def generated_spectrum(gens) -> SpectrumSet:
     g = gens[0].graph
     if any(a.graph is not g for a in gens):
         raise BadInputError("generators live over different graphs")
-    return SpectrumSet.from_cylinders(g, [m for a in gens for m in a.terms])
+    return SpectrumSet._of_checked(g, [m for a in gens for m in a.terms])
 
 
 def bimodule_member(a: AlgElement, gens) -> bool:
@@ -116,7 +133,7 @@ def bimodule_member(a: AlgElement, gens) -> bool:
     one loop a, S_a, p_v and p_v - S_a all lie in it for the generator p_v + S_a."""
     spectrum = generated_spectrum(gens)
     _same_graph(a, spectrum)
-    return SpectrumSet.from_cylinders(a.graph, [*spectrum.cylinders, *a.terms]) == spectrum
+    return _union(a.graph, [*spectrum.cylinders, *a.terms]) == spectrum.cylinders
 
 
 def ck_in_analytic(g, f: LocallyConstantFn, m: CKMono) -> bool:
@@ -131,7 +148,7 @@ def ck_in_analytic(g, f: LocallyConstantFn, m: CKMono) -> bool:
     """
     _require_no_sources(g, "the cocycle layer")
     check_mono(g, m)
-    return all(value >= 0 for _, value in _cocycle_pieces(g, f, m))
+    return all(value >= 0 for _, value in _cocycle_pieces(g, f, m.alpha, m.beta))
 
 
 def spectrum_to_json_obj(s: SpectrumSet):

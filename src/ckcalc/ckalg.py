@@ -227,6 +227,12 @@ def _add_scalars(x, y):
     return None if s.is_zero() else s
 
 
+def _normal_form(g, pairs):
+    """The canonical terms of the (monomial, coefficient) pairs."""
+    nonzero = ((m, c) for m, c in ((m, as_gaussian(c)) for m, c in pairs) if not c.is_zero())
+    return _coarsest(g, nonzero, _add_scalars)
+
+
 class AlgElement:
     """Finite linear combination of monomials, kept in normal form."""
 
@@ -236,10 +242,11 @@ class AlgElement:
         graph = underlying(graph)
         # A basic set at a source is empty and has no children to refine into.
         _require_no_sources(graph, "the algebra")
-        pairs = terms.items() if isinstance(terms, dict) else terms
-        nonzero = ((m, c) for m, c in ((m, as_gaussian(c)) for m, c in pairs) if not c.is_zero())
+        pairs = list(terms.items() if isinstance(terms, dict) else terms)
+        for m in {m for m, _ in pairs}:
+            check_mono(graph, m)
         object.__setattr__(self, "graph", graph)
-        object.__setattr__(self, "terms", _coarsest(graph, nonzero, _add_scalars))
+        object.__setattr__(self, "terms", _normal_form(graph, pairs))
 
     @classmethod
     def _trusted(cls, graph, terms):
@@ -248,6 +255,12 @@ class AlgElement:
         object.__setattr__(a, "graph", graph)
         object.__setattr__(a, "terms", terms)
         return a
+
+    @classmethod
+    def _of_checked(cls, graph, pairs):
+        """The element of (monomial, coefficient) pairs over a plain graph
+        without sources, whose monomials are already checked against it."""
+        return cls._trusted(graph, _normal_form(graph, pairs))
 
     def __setattr__(self, name, value):
         raise AttributeError("AlgElement is immutable")
@@ -271,7 +284,7 @@ class AlgElement:
     def __add__(self, other):
         _same_graph(self, other)
         pairs = list(self.terms.items()) + list(other.terms.items())
-        return AlgElement(self.graph, pairs)
+        return AlgElement._of_checked(self.graph, pairs)
 
     def __sub__(self, other):
         return self + (-other)
@@ -305,7 +318,7 @@ class AlgElement:
                     p = mono_product(g, m1, m2)
                     if p is not None:
                         pairs.append((p, c1 * c2))
-            return AlgElement(g, pairs)
+            return AlgElement._of_checked(g, pairs)
         return self.scale(other)
 
     def __rmul__(self, scalar):
@@ -354,8 +367,7 @@ def zero(g) -> AlgElement:
 
 
 def mono_element(g, m: CKMono, coeff=1) -> AlgElement:
-    check_mono(g, m)
-    return AlgElement(g, [(m, as_gaussian(coeff))])
+    return AlgElement(g, [(m, coeff)])
 
 
 def vertex_projection(g, v) -> AlgElement:
@@ -386,11 +398,7 @@ def range_projection(g, p: FinPath) -> AlgElement:
 
 def diagonal_element(g, weighted_paths) -> AlgElement:
     """Sum of coeff * R_path over (path, coeff) pairs."""
-    pairs = []
-    for p, c in weighted_paths:
-        check_finpath(g, p)
-        pairs.append((CKMono(p, p), as_gaussian(c)))
-    return AlgElement(g, pairs)
+    return AlgElement(g, [(CKMono(p, p), c) for p, c in weighted_paths])
 
 
 def mul_mono(g, m1: CKMono, m2: CKMono) -> AlgElement:
@@ -406,7 +414,7 @@ def normalize(a: AlgElement, beta_depth=None) -> AlgElement:
     among them).  The listing is the same element, not a canonical form."""
     if beta_depth is not None and beta_depth < 0:
         raise BadInputError("beta depth must be nonnegative")
-    canonical = AlgElement(a.graph, a.terms)
+    canonical = AlgElement._of_checked(a.graph, a.terms.items())
     if beta_depth is None:
         return canonical
     target = {}
@@ -455,7 +463,7 @@ def support_spectrum(a: AlgElement):
     """Canonical basic-set family supporting the element."""
     from .bimodule import SpectrumSet
 
-    return SpectrumSet.from_cylinders(a.graph, a.monomials())
+    return SpectrumSet._of_checked(a.graph, a.terms)
 
 
 def cylinders_disjoint(g, p: FinPath, q: FinPath) -> bool:

@@ -15,6 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
+from .ckalg import AlgElement, CKMono
 from .errors import (
     BadInputError,
     InvalidFunctionError,
@@ -32,12 +33,10 @@ from .paths import (
     _walk,
     check_finpath,
     empty_path,
-    enumerate_evpaths,
     inverse,
     join_paths,
     path_range,
     path_source,
-    shift,
 )
 from .scalars import format_rational, rational_from_json_obj
 
@@ -112,8 +111,7 @@ class TailedPair:
     Represents x = prefix_x . window . T and y = prefix_y . window . T for
     an arbitrary common continuation T; cocycle values do not depend on T
     once the window is at least as long as the function depth.  The parts
-    are plain edge words; graph validity is the caller's concern, which is
-    what lets the loop-free weight device use synthetic edge lists.
+    are plain edge words; graph validity is the caller's concern.
     """
 
     prefix_x: FinPath
@@ -169,23 +167,24 @@ def eval_cocycle(f: LocallyConstantFn, point: GroupoidPoint) -> Fraction:
     )
 
 
-def reconstruct_f(g, f: LocallyConstantFn, max_prefix_len=None, max_cycle_len=None):
-    """Check f(x) == cocycle(x, 1, Sx) across an exhaustive sample family.
+def reconstruct_f(g, f: LocallyConstantFn):
+    """Check f(x) == cocycle(x, 1, Sx) at every infinite path x, exactly.
 
-    Returns (ok, failures) where failures lists (path, expected, got).  A
-    graph with sources is refused, as everywhere in the algebra.
+    Each x is e.w.T for an edge e and a depth-long window w into s(e): the
+    points (e.w.T, 1, w.T) form the basic set of (e, s(e)) refined by w, and
+    both sides are constant there, so one check per piece covers every x.
+    Returns (ok, failures) where failures lists (FinPath e.w, expected, got).
+    A graph with sources is refused, as everywhere in the algebra.
     """
     _require_no_sources(g, "the cocycle layer")
-    if max_cycle_len is None:
-        max_cycle_len = max(2, g.max_loop_length)
-    if max_prefix_len is None:
-        max_prefix_len = f.depth + max_cycle_len
     failures = []
-    for x in enumerate_evpaths(g, max_prefix_len, max_cycle_len):
-        expected = f.value_on(x)
-        got = eval_cocycle(f, GroupoidPoint(x, 1, shift(x)))
-        if got != expected:
-            failures.append((x, expected, got))
+    for e in g.edges:
+        edge = FinPath((e.id,))
+        for w, got in _cocycle_pieces(g, f, edge, empty_path(e.source)):
+            piece = join_paths(edge, w)
+            expected = f.value_at(piece.edges)
+            if got != expected:
+                failures.append((piece, expected, got))
     return not failures, failures
 
 
@@ -338,32 +337,31 @@ def is_z1_0_sampled(f: LocallyConstantFn, samples) -> Z10Report:
     return Z10Report(ok=not failures, failures=tuple(failures))
 
 
-def _cocycle_pieces(g, f: LocallyConstantFn, m):
-    """Refine the basic set of the monomial m by every continuation window w
-    of the function depth, yielding (w, the cocycle's value on that piece)."""
-    src = path_source(g, m.alpha)
+def _cocycle_pieces(g, f: LocallyConstantFn, alpha, beta):
+    """Refine the basic set of the path pair (alpha, beta) by every
+    continuation window w of the function depth, yielding (w, the cocycle's
+    value on that piece)."""
+    src = path_source(g, alpha)
     for word in _walk(g, src, f.depth):
         w = _path(word, src)
-        yield w, eval_cocycle_tailed(f, TailedPair(m.alpha, m.beta, w))
+        yield w, eval_cocycle_tailed(f, TailedPair(alpha, beta, w))
 
 
-def cocycle_graded_projection(f: LocallyConstantFn, a, value) -> "AlgElement":
+def cocycle_graded_projection(f: LocallyConstantFn, a, value) -> AlgElement:
     """Part of an element supported where the cocycle equals the given value.
 
     Refines each monomial by continuation windows of the function depth;
     the cocycle is constant on each refined piece, so the projection is an
     exact selection of pieces.  With f constant 1 this is the usual grading.
     """
-    from .ckalg import AlgElement, CKMono
-
     value = Fraction(value)
     pairs = []
     for mono, coeff in a.terms.items():
-        for w, piece_value in _cocycle_pieces(a.graph, f, mono):
+        for w, piece_value in _cocycle_pieces(a.graph, f, mono.alpha, mono.beta):
             if piece_value == value:
                 piece = CKMono(join_paths(mono.alpha, w), join_paths(mono.beta, w))
                 pairs.append((piece, coeff))
-    return AlgElement(a.graph, pairs)
+    return AlgElement._of_checked(a.graph, pairs)
 
 
 def fn_to_json_obj(f: LocallyConstantFn):

@@ -75,7 +75,7 @@ def nest_projection(og: OrderedGraph, level, cutpos) -> AlgElement:
             "cut %d outside 0..%d at level %d" % (cutpos, len(atoms), level)
         )
     pairs = [(CKMono(p, p), 1) for p in atoms[:cutpos]]
-    return AlgElement(og, pairs)
+    return AlgElement._of_checked(og.graph, pairs)
 
 
 def _head(og, p: FinPath, length) -> FinPath:

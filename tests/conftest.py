@@ -54,3 +54,9 @@ def e2():
         [("c", "u", "v"), ("h", "u", "u"), ("d", "v", "u")],
         order=["c", "h", "d"],
     )
+
+
+@pytest.fixture
+def bridge():
+    """v with a loop a and an edge c from u, u with a loop h: no sources."""
+    return build_graph(["v", "u"], [("a", "v", "v"), ("c", "v", "u"), ("h", "u", "u")])

@@ -7,6 +7,8 @@ lpa_coefficients is an equality oracle that shares no code with the
 library's normal form.  The reference_* functions are the list-and-filter
 path enumerators and the full-scan nest oracle that the library's lazy walk
 (paths._walk) replaced; they share no enumeration code with it.
+reference_reconstruct_f is the sampled cocycle round trip that the
+library's check on depth-window pieces replaced.
 """
 
 import random
@@ -15,8 +17,8 @@ from fractions import Fraction
 from hypothesis import strategies as st
 
 from ckcalc.ckalg import AlgElement, CKMono
-from ckcalc.cocycle import LocallyConstantFn
-from ckcalc.graph import Edge, Graph, OrderedGraph, underlying
+from ckcalc.cocycle import LocallyConstantFn, eval_cocycle
+from ckcalc.graph import Edge, Graph, OrderedGraph, _require_no_sources, underlying
 from ckcalc.nest import NestViolation, _atom_place, default_level_bound
 from ckcalc.paths import (
     EvPath,
@@ -32,6 +34,7 @@ from ckcalc.paths import (
     path_source,
     paths_with_source,
     prepend,
+    shift,
 )
 from ckcalc.scalars import ZERO, GaussianRational
 
@@ -257,3 +260,22 @@ def reference_oracle(og, m, level_bound=None):
                 return False, NestViolation(level, _atom_place(og, col_path),
                                             _path(row, ra), col_path)
     return True, None
+
+
+def reference_reconstruct_f(g, f, max_prefix_len=None, max_cycle_len=None):
+    """f(x) == cocycle(x, 1, Sx) checked on a sample: every eventually
+    periodic path with a prefix of at most max_prefix_len edges and a
+    primitive cycle of at most max_cycle_len, both bounds read by default
+    from the longest simple cycle.  Returns (ok, [(x, expected, got)])."""
+    _require_no_sources(g, "the cocycle layer")
+    if max_cycle_len is None:
+        max_cycle_len = max(2, g.max_loop_length)
+    if max_prefix_len is None:
+        max_prefix_len = f.depth + max_cycle_len
+    failures = []
+    for x in enumerate_evpaths(g, max_prefix_len, max_cycle_len):
+        expected = f.value_on(x)
+        got = eval_cocycle(f, GroupoidPoint(x, 1, shift(x)))
+        if got != expected:
+            failures.append((x, expected, got))
+    return not failures, failures

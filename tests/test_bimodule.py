@@ -20,7 +20,7 @@ from ckcalc.ckalg import (
     vertex_projection,
 )
 from ckcalc.cocycle import LocallyConstantFn
-from ckcalc.errors import BadInputError, PreconditionError
+from ckcalc.errors import BadInputError, InvalidGraphError, PreconditionError
 from ckcalc.graph import underlying
 from ckcalc.paths import (
     GroupoidPoint,
@@ -191,6 +191,24 @@ def test_spectrum_refuses_sources():
         SpectrumSet(g, [p_u])
     with pytest.raises(PreconditionError, match="u is the range of no edge"):
         spectrum_from_json_obj(g, [{"alpha": [], "beta": [], "anchor": "u"}])
+
+
+def test_spectrum_refuses_an_unknown_edge(bridge):
+    with pytest.raises(InvalidGraphError, match="zz"):
+        SpectrumSet(bridge, [cyl(fpath("c"), fpath("zz"))])
+
+
+def test_from_cylinders_refuses_paths_with_two_sources(bridge):
+    with pytest.raises(BadInputError, match="share a source"):
+        SpectrumSet.from_cylinders(bridge, [cyl(fpath("a"), fpath("h"))])
+
+
+def test_member_refuses_an_invalid_monomial(bridge):
+    spectrum = SpectrumSet(bridge, [cyl(empty_path("v"), empty_path("v"))])
+    with pytest.raises(BadInputError, match="share a source"):
+        member(bridge, cyl(fpath("a"), fpath("h")), spectrum)
+    with pytest.raises(InvalidGraphError, match="zz"):
+        member(bridge, cyl(fpath("zz"), fpath("zz")), spectrum)
 
 
 def test_spectra_over_different_graphs_differ(o2):

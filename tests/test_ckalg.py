@@ -2,6 +2,8 @@ from fractions import Fraction
 
 import pytest
 
+from ckcalc import ckalg
+from ckcalc.bimodule import bimodule_member, generated_spectrum
 from ckcalc.ckalg import (
     AlgElement,
     CKMono,
@@ -9,6 +11,7 @@ from ckcalc.ckalg import (
     check_mono,
     check_proj_afpart,
     cylinders_disjoint,
+    element,
     element_from_json_obj,
     element_to_json_obj,
     evaluate,
@@ -25,16 +28,20 @@ from ckcalc.ckalg import (
     refine_children,
     restricted_norm,
     separating_projections,
+    support_spectrum,
     vertex_projection,
     zero,
 )
+from ckcalc.cocycle import LocallyConstantFn, cocycle_graded_projection
 from ckcalc.errors import (
     BadInputError,
+    InvalidGraphError,
     PreconditionError,
     UnsupportedNormError,
     UnsupportedRootError,
 )
 from ckcalc.graph import underlying, validate
+from ckcalc.nest import nest_projection
 from ckcalc.paths import GroupoidPoint, empty_path, ev, fpath, prepend
 from ckcalc.scalars import GaussianRational
 
@@ -59,6 +66,31 @@ def test_check_mono_requires_common_source(e2):
     # c has source v, h has source u.
     with pytest.raises(BadInputError):
         check_mono(e2, CKMono(fpath("c"), fpath("h")))
+
+
+def test_element_refuses_paths_with_two_sources(bridge):
+    with pytest.raises(BadInputError, match="share a source"):
+        AlgElement(bridge, [(CKMono(fpath("a"), fpath("h")), 1)])
+
+
+def test_element_refuses_an_unknown_edge(bridge):
+    with pytest.raises(InvalidGraphError, match="zz"):
+        element(bridge, [(CKMono(fpath("a"), fpath("zz")), 1)])
+
+
+def test_rebuilds_from_checked_terms_check_nothing(o2, monkeypatch):
+    rng = make_rng(52)
+    x = rand_element(o2, rng, n_terms=5, max_len=2)
+    y = rand_element(o2, rng, n_terms=5, max_len=2)
+    f = LocallyConstantFn.from_weights({"a": 1, "b": 0})
+
+    def refuse(g, m):
+        raise AssertionError("checked %r again" % (m,))
+
+    monkeypatch.setattr(ckalg, "check_mono", refuse)
+    x + y, x - y, x * y, normalize(x), normalize(x, beta_depth=3)
+    nest_projection(o2, 2, 3), cocycle_graded_projection(f, x, 1)
+    generated_spectrum([x, y]), support_spectrum(x), bimodule_member(x, [y])
 
 
 def test_mono_product_cases(o2):

@@ -3,6 +3,8 @@ from fractions import Fraction
 
 import pytest
 
+import ckcalc.graph
+from ckcalc import cocycle
 from ckcalc.cocycle import (
     LocallyConstantFn,
     TailedPair,
@@ -39,6 +41,7 @@ from ckcalc.paths import (
     ev_range,
     fpath,
     inverse,
+    join_paths,
     path_source,
     paths_with_source,
     prepend,
@@ -46,7 +49,14 @@ from ckcalc.paths import (
 )
 
 from conftest import build_graph
-from helpers import make_rng, rand_element, rand_fn, rand_point
+from helpers import (
+    make_rng,
+    rand_element,
+    rand_fn,
+    rand_point,
+    random_graph,
+    reference_reconstruct_f,
+)
 
 
 def indicator_a():
@@ -194,8 +204,42 @@ def test_reconstruct_f(o2, e2, loop3e):
         for depth in (0, 1, 2):
             ok, failures = reconstruct_f(g, rand_fn(g, rng, depth))
             assert ok and failures == []
-    ok, failures = reconstruct_f(o2, indicator_a(), max_prefix_len=4, max_cycle_len=3)
+    ok, failures = reconstruct_f(o2, indicator_a())
     assert ok
+
+
+def test_reconstruct_f_matches_the_sampled_reference():
+    rng = make_rng(49)
+    for _ in range(50):
+        g = random_graph(rng, max_vertices=3, sources=False)
+        for depth in range(4):
+            f = rand_fn(g, rng, depth)
+            assert reconstruct_f(g, f) == reference_reconstruct_f(g, f) == (True, [])
+
+
+def test_reconstruct_f_reports_each_wrong_piece(bridge, monkeypatch):
+    telescope = cocycle._telescope
+    rng = make_rng(50)
+    for e0 in bridge.edges:
+        monkeypatch.setattr(cocycle, "_telescope", lambda f, xw, yw, k, stop: (
+            telescope(f, xw, yw, k, stop) + (1 if xw[:1] == (e0.id,) else 0)))
+        for depth in range(4):
+            f = rand_fn(bridge, rng, depth)
+            ok, failures = reconstruct_f(bridge, f)
+            pieces = [join_paths(fpath(e0.id), w)
+                      for w in continuations(bridge, e0.source, depth)]
+            assert not ok
+            assert [x for x, _, _ in failures] == pieces
+            assert all(got == expected + 1 == f.value_at(x.edges) + 1
+                       for x, expected, got in failures)
+
+
+def test_reconstruct_f_needs_no_cycle_search(bridge, monkeypatch):
+    def refuse(graph):
+        raise AssertionError("longest-cycle search")
+
+    monkeypatch.setattr(ckcalc.graph, "max_simple_loop_length", refuse)
+    assert reconstruct_f(bridge, rand_fn(bridge, make_rng(51), 2)) == (True, [])
 
 
 def test_loop_growth_examples(o2):
