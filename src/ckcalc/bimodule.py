@@ -2,10 +2,10 @@
 
 A spectrum is held as a finite family of basic sets, each indexed by a pair
 of paths exactly like a monomial.  It is the support of an element with
-indicator values, and it is kept canonical by the same coarsest-listing
-routine as elements (ckalg._coarsest), with union in place of sum: no
-member contains another, and no complete set of one-edge refinements is
-present without being coarsened back to its parent.
+indicator values, and it shares the element's family core (ckalg._Family):
+the same guarded build and the same coarsest listing, with union in place
+of sum.  So no member contains another, and no complete set of one-edge
+refinements is present without being coarsened back to its parent.
 
 A set is covered by a family exactly when adding it leaves the canonical
 family unchanged, so membership is one more canonical listing, never a
@@ -23,6 +23,7 @@ from .ckalg import (
     mono_from_json_obj,
     mono_to_json_obj,
     path_tail_of,
+    _Family,
     _coarsest,
     _mono_sort_key,
     _same_graph,
@@ -41,36 +42,20 @@ def cyl_contains(g, inner: CKMono, outer: CKMono) -> bool:
     return t2 is not None and t1 == t2
 
 
-class SpectrumSet:
+class SpectrumSet(_Family):
     """Canonical finite family of basic sets: the coarsest one covering the
     union of the given sets, so equal unions give equal families."""
 
-    __slots__ = ("graph", "cylinders")
+    __slots__ = ("cylinders",)
+    _field, _layer = "cylinders", "a spectrum"
 
     def __init__(self, graph, cylinders):
-        graph = underlying(graph)
-        # A basic set at a source is empty, as it is for elements.
-        _require_no_sources(graph, "a spectrum")
-        cylinders = list(cylinders)
-        for c in set(cylinders):
-            check_mono(graph, c)
-        object.__setattr__(self, "graph", graph)
-        object.__setattr__(self, "cylinders", _union(graph, cylinders))
+        cylinders = set(cylinders)
+        self._build(graph, cylinders, cylinders)
 
-    @classmethod
-    def _of_checked(cls, graph, cylinders):
-        """The family of basic sets over a plain graph without sources, whose
-        monomials are already checked against it."""
-        s = object.__new__(cls)
-        object.__setattr__(s, "graph", graph)
-        object.__setattr__(s, "cylinders", _union(graph, cylinders))
-        return s
-
-    def __setattr__(self, name, value):
-        raise AttributeError("SpectrumSet is immutable")
-
-    def __reduce__(self):
-        return SpectrumSet, (self.graph, self.cylinders)
+    @staticmethod
+    def _canonical(graph, cylinders):
+        return frozenset(_coarsest(graph, ((c, True) for c in cylinders), operator.or_))
 
     @classmethod
     def from_cylinders(cls, g, cylinders) -> "SpectrumSet":
@@ -98,18 +83,19 @@ class SpectrumSet:
         return "SpectrumSet(%d basic sets)" % len(self.cylinders)
 
 
-def _union(g, cylinders):
-    """The canonical family covering the union of the basic sets."""
-    return frozenset(_coarsest(g, ((c, True) for c in cylinders), operator.or_))
+def _covers(spectrum: SpectrumSet, monos) -> bool:
+    """Whether adding the basic sets of monos leaves the spectrum as it was."""
+    family = spectrum.cylinders
+    return SpectrumSet._canonical(spectrum.graph, [*family, *monos]) == family
 
 
 def member(g, m: CKMono, spectrum: SpectrumSet) -> bool:
-    """Whether the basic set of m is covered by the spectrum family: adding
-    it leaves the canonical family as it was.  g must be the spectrum's graph."""
+    """Whether the basic set of m is covered by the spectrum family.  g must
+    be the spectrum's graph."""
     if underlying(g) is not spectrum.graph:
         raise BadInputError("the spectrum lives over a different graph")
     check_mono(spectrum.graph, m)
-    return _union(spectrum.graph, [*spectrum.cylinders, m]) == spectrum.cylinders
+    return _covers(spectrum, [m])
 
 
 def generated_spectrum(gens) -> SpectrumSet:
@@ -133,7 +119,7 @@ def bimodule_member(a: AlgElement, gens) -> bool:
     one loop a, S_a, p_v and p_v - S_a all lie in it for the generator p_v + S_a."""
     spectrum = generated_spectrum(gens)
     _same_graph(a, spectrum)
-    return _union(a.graph, [*spectrum.cylinders, *a.terms]) == spectrum.cylinders
+    return _covers(spectrum, a.terms)
 
 
 def ck_in_analytic(g, f: LocallyConstantFn, m: CKMono) -> bool:
@@ -148,7 +134,7 @@ def ck_in_analytic(g, f: LocallyConstantFn, m: CKMono) -> bool:
     """
     _require_no_sources(g, "the cocycle layer")
     check_mono(g, m)
-    return all(value >= 0 for _, value in _cocycle_pieces(g, f, m.alpha, m.beta))
+    return all(value >= 0 for _, value in _cocycle_pieces(g, f, m))
 
 
 def spectrum_to_json_obj(s: SpectrumSet):
@@ -158,6 +144,6 @@ def spectrum_to_json_obj(s: SpectrumSet):
 def spectrum_from_json_obj(g, obj) -> SpectrumSet:
     if not isinstance(obj, list):
         raise BadInputError("spectrum JSON must be a list")
-    return SpectrumSet.from_cylinders(
-        g, [mono_from_json_obj(g, item) for item in obj]
-    )
+    cylinders = [mono_from_json_obj(g, item) for item in obj]
+    # The monomials are checked, so only the graph's guard is left.
+    return SpectrumSet._of_checked(SpectrumSet._plain(g), cylinders)

@@ -47,8 +47,8 @@ from .paths import (
     GroupoidPoint,
     _path,
     _walk,
+    check_evpath,
     check_finpath,
-    continuations,
     empty_path,
     join_paths,
     path_range,
@@ -136,9 +136,13 @@ def refine_children(g, m: CKMono):
     return [_from_key(key) for key in _children(g, _key(g, m))]
 
 
-def _refine_to(g, m: CKMono, beta_len):
-    return [CKMono(join_paths(m.alpha, w), join_paths(m.beta, w))
-            for w in continuations(g, mono_source(g, m), beta_len - len(m.beta))]
+def _refinements(g, m: CKMono, depth):
+    """The basic set of m cut by every window w of the given length into its
+    source: yields (w, the monomial (alpha w, beta w)) in in-edge order."""
+    src = mono_source(g, m)
+    for word in _walk(g, src, depth):
+        w = _path(word, src)
+        yield w, CKMono(join_paths(m.alpha, w), join_paths(m.beta, w))
 
 
 def _key(g, m: CKMono):
@@ -227,47 +231,65 @@ def _add_scalars(x, y):
     return None if s.is_zero() else s
 
 
-def _normal_form(g, pairs):
-    """The canonical terms of the (monomial, coefficient) pairs."""
-    nonzero = ((m, c) for m, c in ((m, as_gaussian(c)) for m, c in pairs) if not c.is_zero())
-    return _coarsest(g, nonzero, _add_scalars)
+class _Family:
+    """A canonical finite family of basic sets with values over a plain graph
+    without sources.  A subclass sets the attribute that holds it (_field),
+    the layer its guard names (_layer) and _canonical(graph, items)."""
 
+    __slots__ = ("graph",)
 
-class AlgElement:
-    """Finite linear combination of monomials, kept in normal form."""
-
-    __slots__ = ("graph", "terms")
-
-    def __init__(self, graph, terms=()):
+    @classmethod
+    def _plain(cls, graph):
         graph = underlying(graph)
         # A basic set at a source is empty and has no children to refine into.
-        _require_no_sources(graph, "the algebra")
-        pairs = list(terms.items() if isinstance(terms, dict) else terms)
-        for m in {m for m, _ in pairs}:
+        _require_no_sources(graph, cls._layer)
+        return graph
+
+    def _build(self, graph, monos, items):
+        """The guarded build: check each of the distinct monomials monos once
+        against the plain graph, then store the canonical family of items."""
+        graph = self._plain(graph)
+        for m in monos:
             check_mono(graph, m)
         object.__setattr__(self, "graph", graph)
-        object.__setattr__(self, "terms", _normal_form(graph, pairs))
+        object.__setattr__(self, self._field, self._canonical(graph, items))
 
     @classmethod
-    def _trusted(cls, graph, terms):
-        """An element over a plain graph whose terms are already canonical."""
-        a = object.__new__(cls)
-        object.__setattr__(a, "graph", graph)
-        object.__setattr__(a, "terms", terms)
-        return a
+    def _trusted(cls, graph, family):
+        """The object of a family already canonical over a plain graph."""
+        s = object.__new__(cls)
+        object.__setattr__(s, "graph", graph)
+        object.__setattr__(s, cls._field, family)
+        return s
 
     @classmethod
-    def _of_checked(cls, graph, pairs):
-        """The element of (monomial, coefficient) pairs over a plain graph
-        without sources, whose monomials are already checked against it."""
-        return cls._trusted(graph, _normal_form(graph, pairs))
+    def _of_checked(cls, graph, items):
+        """The object of items whose monomials are checked against a plain
+        graph without sources."""
+        return cls._trusted(graph, cls._canonical(graph, items))
 
     def __setattr__(self, name, value):
-        raise AttributeError("AlgElement is immutable")
+        raise AttributeError("%s is immutable" % type(self).__name__)
 
     def __reduce__(self):
         # Through _trusted, so a refined listing from normalize is kept as is.
-        return AlgElement._trusted, (self.graph, self.terms)
+        return self._trusted, (self.graph, getattr(self, self._field))
+
+
+class AlgElement(_Family):
+    """Finite linear combination of monomials, kept in normal form."""
+
+    __slots__ = ("terms",)
+    _field, _layer = "terms", "the algebra"
+
+    def __init__(self, graph, terms=()):
+        pairs = list(terms.items() if isinstance(terms, dict) else terms)
+        coerced = ((m, as_gaussian(c)) for m, c in pairs)  # lazily, after the checks
+        self._build(graph, {m for m, _ in pairs}, ((m, c) for m, c in coerced if not c.is_zero()))
+
+    @staticmethod
+    def _canonical(graph, pairs):
+        return _coarsest(graph, pairs, _add_scalars)
 
     def is_zero(self):
         return not self.terms
@@ -422,7 +444,7 @@ def normalize(a: AlgElement, beta_depth=None) -> AlgElement:
         target[m.degree] = max(target.get(m.degree, beta_depth), len(m.beta))
     return AlgElement._trusted(a.graph, {
         piece: c for m, c in canonical.terms.items()
-        for piece in _refine_to(a.graph, m, target[m.degree])})
+        for _, piece in _refinements(a.graph, m, target[m.degree] - len(m.beta))})
 
 
 def adjoint(a):
@@ -443,6 +465,8 @@ def gauge(a: AlgElement, n, j) -> AlgElement:
     """
     if n not in (1, 2, 4):
         raise UnsupportedRootError("rotation order %r has no exact representation" % n)
+    if not isinstance(j, int):
+        raise BadInputError("rotation power must be an integer, not %r" % (j,))
     step = 4 // n
     return AlgElement._trusted(
         a.graph,
@@ -452,6 +476,8 @@ def gauge(a: AlgElement, n, j) -> AlgElement:
 
 def evaluate(a: AlgElement, point: GroupoidPoint) -> GaussianRational:
     """Exact value of the element, as a groupoid function, at the point."""
+    check_evpath(a.graph, point.x)
+    check_evpath(a.graph, point.y)
     total = ZERO
     for mono, c in a.terms.items():
         if point_in_Z(a.graph, point, mono.alpha, mono.beta):
@@ -619,5 +645,7 @@ def element_from_json_obj(g, obj) -> AlgElement:
             rational_from_json_obj(item.get("re", "0")),
             rational_from_json_obj(item.get("im", "0")),
         )
-        pairs.append((m, c))
-    return AlgElement(g, pairs)
+        if not c.is_zero():
+            pairs.append((m, c))
+    # The monomials are checked, so only the graph's guard is left.
+    return AlgElement._of_checked(AlgElement._plain(g), pairs)

@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .ckalg import AlgElement, CKMono
+from .ckalg import AlgElement, CKMono, _refinements
 from .errors import (
     BadInputError,
     InvalidFunctionError,
@@ -29,16 +29,14 @@ from .paths import (
     EvPath,
     FinPath,
     GroupoidPoint,
-    _path,
     _walk,
     check_finpath,
     empty_path,
     inverse,
-    join_paths,
     path_range,
     path_source,
 )
-from .scalars import format_rational, rational_from_json_obj
+from .scalars import format_rational, parse_rational, rational_from_json_obj
 
 
 class LocallyConstantFn:
@@ -56,7 +54,7 @@ class LocallyConstantFn:
                 raise BadInputError(
                     "table key %r does not have length %d" % (word, depth)
                 )
-            clean[word] = Fraction(value)
+            clean[word] = parse_rational(value)
         if depth == 0 and () not in clean:
             raise BadInputError("depth-0 function needs a value at the empty word")
         object.__setattr__(self, "depth", depth)
@@ -70,7 +68,7 @@ class LocallyConstantFn:
 
     @classmethod
     def constant(cls, value) -> "LocallyConstantFn":
-        return cls(0, {(): Fraction(value)})
+        return cls(0, {(): value})
 
     @classmethod
     def from_weights(cls, weights) -> "LocallyConstantFn":
@@ -179,12 +177,10 @@ def reconstruct_f(g, f: LocallyConstantFn):
     _require_no_sources(g, "the cocycle layer")
     failures = []
     for e in g.edges:
-        edge = FinPath((e.id,))
-        for w, got in _cocycle_pieces(g, f, edge, empty_path(e.source)):
-            piece = join_paths(edge, w)
-            expected = f.value_at(piece.edges)
+        for piece, got in _cocycle_pieces(g, f, CKMono(FinPath((e.id,)), empty_path(e.source))):
+            expected = f.value_at(piece.alpha.edges)
             if got != expected:
-                failures.append((piece, expected, got))
+                failures.append((piece.alpha, expected, got))
     return not failures, failures
 
 
@@ -337,14 +333,12 @@ def is_z1_0_sampled(f: LocallyConstantFn, samples) -> Z10Report:
     return Z10Report(ok=not failures, failures=tuple(failures))
 
 
-def _cocycle_pieces(g, f: LocallyConstantFn, alpha, beta):
-    """Refine the basic set of the path pair (alpha, beta) by every
-    continuation window w of the function depth, yielding (w, the cocycle's
-    value on that piece)."""
-    src = path_source(g, alpha)
-    for word in _walk(g, src, f.depth):
-        w = _path(word, src)
-        yield w, eval_cocycle_tailed(f, TailedPair(alpha, beta, w))
+def _cocycle_pieces(g, f: LocallyConstantFn, m: CKMono):
+    """Refine the basic set of m by every window w of the function depth into
+    its source, yielding (the piece (alpha w, beta w), the cocycle's value
+    on it)."""
+    for w, piece in _refinements(g, m, f.depth):
+        yield piece, eval_cocycle_tailed(f, TailedPair(m.alpha, m.beta, w))
 
 
 def cocycle_graded_projection(f: LocallyConstantFn, a, value) -> AlgElement:
@@ -354,13 +348,10 @@ def cocycle_graded_projection(f: LocallyConstantFn, a, value) -> AlgElement:
     the cocycle is constant on each refined piece, so the projection is an
     exact selection of pieces.  With f constant 1 this is the usual grading.
     """
-    value = Fraction(value)
-    pairs = []
-    for mono, coeff in a.terms.items():
-        for w, piece_value in _cocycle_pieces(a.graph, f, mono.alpha, mono.beta):
-            if piece_value == value:
-                piece = CKMono(join_paths(mono.alpha, w), join_paths(mono.beta, w))
-                pairs.append((piece, coeff))
+    value = parse_rational(value)
+    pairs = [(piece, coeff) for mono, coeff in a.terms.items()
+             for piece, piece_value in _cocycle_pieces(a.graph, f, mono)
+             if piece_value == value]
     return AlgElement._of_checked(a.graph, pairs)
 
 

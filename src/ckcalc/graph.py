@@ -128,7 +128,10 @@ class OrderedGraph(Graph):
         self._vertex_pos = None
 
     def pos(self, edge_id):
-        return self.position[edge_id]
+        try:
+            return self.position[edge_id]
+        except KeyError:
+            raise InvalidGraphError("unknown edge id %r" % (edge_id,)) from None
 
     def vertex_pos(self, v):
         """Block position of a vertex: min order position among its in-edges.

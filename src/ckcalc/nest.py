@@ -23,11 +23,13 @@ from .paths import (
     _path,
     _walk,
     all_finpaths,
+    check_evpath,
     is_s_maximal,
     is_s_minimal,
     lex_compare,
     path_range,
 )
+from .scalars import ONE
 
 
 def _check_nest_graph(og):
@@ -74,7 +76,7 @@ def nest_projection(og: OrderedGraph, level, cutpos) -> AlgElement:
         raise OutOfRangeError(
             "cut %d outside 0..%d at level %d" % (cutpos, len(atoms), level)
         )
-    pairs = [(CKMono(p, p), 1) for p in atoms[:cutpos]]
+    pairs = [(CKMono(p, p), ONE) for p in atoms[:cutpos]]
     return AlgElement._of_checked(og.graph, pairs)
 
 
@@ -159,6 +161,8 @@ def point_in_spectrum_alg_n(og: OrderedGraph, point: GroupoidPoint):
     """
     _check_nest_graph(og)
     x, k, y = point.x, point.k, point.y
+    check_evpath(og, x)
+    check_evpath(og, y)
     cmp = lex_compare(x, y, og)
     if cmp < 0:
         return True, "strict_below"

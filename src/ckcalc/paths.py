@@ -94,12 +94,20 @@ def join_paths(left: FinPath, tail: FinPath) -> FinPath:
 
 
 def _check_chain(g, word):
-    """Raise unless every edge exists and each one chains onto the next."""
+    """Raise unless every edge exists and each one chains onto the next.
+
+    An unknown edge is reported before a break in the chain.  Each edge is
+    one dict lookup: evaluate and the nest spectrum check every point."""
+    edges = g.edge_by_id
+    if not edges.keys() >= set(word):
+        for eid in word:
+            g.edge(eid)  # raises at the first unknown id
+    prev = None
     for eid in word:
-        g.edge(eid)
-    for a, b in zip(word, word[1:]):
-        if g.range_of(b) != g.source_of(a):
-            raise InvalidPathError("edges %r then %r do not chain" % (a, b))
+        e = edges[eid]
+        if prev is not None and e.range != prev.source:
+            raise InvalidPathError("edges %r then %r do not chain" % (prev.id, eid))
+        prev = e
 
 
 def check_finpath(g, p: FinPath):

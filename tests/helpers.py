@@ -16,6 +16,7 @@ from fractions import Fraction
 
 from hypothesis import strategies as st
 
+from ckcalc import bimodule, ckalg
 from ckcalc.ckalg import AlgElement, CKMono
 from ckcalc.cocycle import LocallyConstantFn, eval_cocycle
 from ckcalc.graph import Edge, Graph, OrderedGraph, _require_no_sources, underlying
@@ -41,6 +42,21 @@ from ckcalc.scalars import ZERO, GaussianRational
 
 def make_rng(seed=20260816):
     return random.Random(seed)
+
+
+def counting_check_mono(monkeypatch):
+    """Count check_mono calls, under each module's name for it; returns the
+    list of monomials checked."""
+    calls = []
+    check = ckalg.check_mono
+
+    def counting(g, m):
+        calls.append(m)
+        return check(g, m)
+
+    monkeypatch.setattr(ckalg, "check_mono", counting)
+    monkeypatch.setattr(bimodule, "check_mono", counting)
+    return calls
 
 
 def rand_rational(rng, lo=-9, hi=9):

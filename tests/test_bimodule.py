@@ -35,7 +35,7 @@ from ckcalc.paths import (
 )
 
 from conftest import build_graph
-from helpers import all_monos, make_rng, rand_element
+from helpers import all_monos, counting_check_mono, make_rng, rand_element
 
 
 def cyl(*parts):
@@ -191,6 +191,20 @@ def test_spectrum_refuses_sources():
         SpectrumSet(g, [p_u])
     with pytest.raises(PreconditionError, match="u is the range of no edge"):
         spectrum_from_json_obj(g, [{"alpha": [], "beta": [], "anchor": "u"}])
+
+
+def test_spectrum_loader_checks_each_monomial_once(o2, monkeypatch):
+    calls = counting_check_mono(monkeypatch)
+    obj = [{"alpha": ["a"], "beta": ["b"]}, {"alpha": ["b"], "beta": ["b"]}]
+    s = spectrum_from_json_obj(o2, obj)
+    assert len(calls) == 2
+    assert s == SpectrumSet(o2, [cyl(fpath("a"), fpath("b")), cyl(fpath("b"), fpath("b"))])
+
+
+def test_spectrum_loader_reports_a_bad_set_before_a_source():
+    g = build_graph(["v", "u"], [("a", "v", "v"), ("c", "v", "u")])
+    with pytest.raises(InvalidGraphError, match="zz"):
+        spectrum_from_json_obj(g, [{"alpha": ["zz"], "beta": [], "anchor": "v"}])
 
 
 def test_spectrum_refuses_an_unknown_edge(bridge):

@@ -46,7 +46,7 @@ from ckcalc.paths import GroupoidPoint, empty_path, ev, fpath, prepend
 from ckcalc.scalars import GaussianRational
 
 from conftest import build_graph
-from helpers import make_rng, rand_element, rand_point
+from helpers import counting_check_mono, make_rng, rand_element, rand_point
 
 
 def s(g, *edges):
@@ -191,6 +191,14 @@ def test_evaluate_examples(o2):
     assert evaluate(range_projection(o2, fpath("a")), unit) == GaussianRational(0, 0)
 
 
+def test_evaluate_refuses_a_point_off_the_graph(o2):
+    off_x = GroupoidPoint(ev(("z",), ("a",)), 1, ev((), ("a",)))
+    off_y = GroupoidPoint(ev((), ("a",)), -1, ev(("z",), ("a",)))
+    for point in (off_x, off_y):
+        with pytest.raises(InvalidGraphError, match="z"):
+            evaluate(s(o2, "a"), point)
+
+
 def test_phi_partition(o2):
     rng = make_rng(13)
     for _ in range(20):
@@ -212,6 +220,14 @@ def test_gauge_rotation(o2):
     assert gauge(a.adjoint(), 4, 1) == a.adjoint().scale(GaussianRational(0, -1))
     with pytest.raises(UnsupportedRootError):
         gauge(a, 3, 1)
+
+
+def test_gauge_refuses_a_non_integer_power(o2):
+    a = s(o2, "a")
+    for j in (0.5, 1.5, 2.0, Fraction(1, 2), "1"):
+        with pytest.raises(BadInputError, match="integer"):
+            gauge(a, 4, j)
+    assert gauge(a, 4, -3) == gauge(a, 4, 1)
 
 
 def test_gauge_is_multiplicative(o2):
@@ -331,6 +347,25 @@ def test_element_json_round_trip(o2):
         assert element_to_json_obj(back) == obj
     with pytest.raises(BadInputError):
         element_from_json_obj(o2, {"alpha": ["a"]})
+
+
+def test_element_loader_checks_each_monomial_once(o2, monkeypatch):
+    calls = counting_check_mono(monkeypatch)
+    obj = [{"alpha": ["a"], "beta": [], "anchor": "v", "re": "1"},
+           {"alpha": ["b"], "beta": ["b"], "re": "0", "im": "-1/2"}]
+    a = element_from_json_obj(o2, obj)
+    assert len(calls) == 2
+    assert a == s(o2, "a") + range_projection(o2, fpath("b")).scale(GaussianRational(0, Fraction(-1, 2)))
+
+
+def test_element_loader_keeps_its_error_order(o2):
+    assert element_from_json_obj(o2, [{"alpha": ["a"], "beta": ["a"], "re": "0"}]).is_zero()
+    # A bad monomial is reported before the graph's source.
+    g = build_graph(["v", "w"], [("a", "v", "v"), ("c", "v", "w")])
+    with pytest.raises(InvalidGraphError):
+        element_from_json_obj(g, [{"alpha": ["z"], "beta": [], "anchor": "v", "re": "1"}])
+    with pytest.raises(PreconditionError, match="the algebra"):
+        element_from_json_obj(g, [{"alpha": ["a"], "beta": [], "anchor": "v", "re": "1"}])
 
 
 def test_eval_respects_normal_form(o2):

@@ -22,7 +22,7 @@ from ckcalc.cocycle import (
     truncation_telescope_sum,
     validate_total,
 )
-from ckcalc.ckalg import phi_m, zero
+from ckcalc.ckalg import path_isometry, phi_m, zero
 from ckcalc.errors import (
     BadInputError,
     InvalidFunctionError,
@@ -441,3 +441,17 @@ def test_reconstruct_f_rejects_sources():
     f = LocallyConstantFn(1, {("a",): -1, ("f",): -1})
     with pytest.raises(PreconditionError, match="u is the range of no edge"):
         reconstruct_f(g, f)
+
+
+def test_function_values_parse_as_rationals(o2):
+    with pytest.raises(BadInputError, match="zz"):
+        LocallyConstantFn(1, {("a",): "zz", ("b",): 1})
+    with pytest.raises(BadInputError, match="q"):
+        LocallyConstantFn.constant("q")
+    f = LocallyConstantFn(1, {("a",): "-1/2", ("b",): Fraction(3, 4)})
+    assert f.table == {("a",): Fraction(-1, 2), ("b",): Fraction(3, 4)}
+    assert LocallyConstantFn.constant(2).table == {(): 2}
+    a = path_isometry(o2, fpath("a"))
+    with pytest.raises(BadInputError, match="x"):
+        cocycle_graded_projection(f, a, "x")
+    assert cocycle_graded_projection(f, a, "-1/2") == a

@@ -5,6 +5,7 @@ import pickle
 
 import pytest
 
+from ckcalc import bimodule, ckalg
 from ckcalc.bimodule import SpectrumSet
 from ckcalc.ckalg import CKMono, identity, normalize, path_isometry
 from ckcalc.cocycle import LocallyConstantFn
@@ -57,3 +58,18 @@ def test_elements_survive_copy_and_pickle(o2, how):
         else:
             assert y.graph is not x.graph
             assert y.graph.vertices == x.graph.vertices and y.graph.edges == x.graph.edges
+
+
+@pytest.mark.parametrize("how", sorted(ROUND_TRIPS))
+def test_families_copy_without_rebuilding(o2, how, monkeypatch):
+    s = values(o2.graph)[2]
+    a = identity(o2) + path_isometry(o2, fpath("a"))
+
+    def refuse(*args):
+        raise AssertionError("rebuilt a family already canonical")
+
+    for module in (bimodule, ckalg):
+        monkeypatch.setattr(module, "check_mono", refuse)
+        monkeypatch.setattr(module, "_coarsest", refuse)
+    assert ROUND_TRIPS[how](s).cylinders == s.cylinders
+    assert ROUND_TRIPS[how](a).terms == a.terms

@@ -182,6 +182,11 @@ def test_vertex_pos_blocks(e2):
     assert e2.pos("d") == 2
 
 
+def test_pos_refuses_an_unknown_edge(e2):
+    with pytest.raises(InvalidGraphError, match="unknown edge id 'z'"):
+        e2.pos("z")
+
+
 def test_edge_tuples_are_built_once(e2):
     for v in e2.vertices:
         assert e2.in_edges(v) is e2.in_edges(v)

@@ -10,7 +10,13 @@ from ckcalc.ckalg import (
     vertex_projection,
     zero,
 )
-from ckcalc.errors import BadInputError, InvalidPointError, OutOfRangeError, PreconditionError
+from ckcalc.errors import (
+    BadInputError,
+    InvalidGraphError,
+    InvalidPointError,
+    OutOfRangeError,
+    PreconditionError,
+)
 from ckcalc.graph import OrderedGraph, max_simple_loop_length, validate_order
 from ckcalc.nest import (
     NestViolation,
@@ -324,3 +330,13 @@ def test_default_level_bound_searches_each_graph_once(monkeypatch):
             in_alg_n_oracle(og, m)
             assert default_level_bound(og, m) == len(m.alpha) + len(m.beta) + 2
     assert searched == graphs
+
+
+def test_points_off_the_graph_are_refused(o2):
+    off = GroupoidPoint(ev((), ("z",)), 0, ev((), ("z",)))
+    off_y = GroupoidPoint(ev((), ("a",)), 1, ev(("z",), ("a",)))
+    for point in (off, off_y):
+        with pytest.raises(InvalidGraphError, match="z"):
+            point_in_spectrum_alg_n(o2, point)
+        with pytest.raises(InvalidGraphError, match="z"):
+            in_radical_spectrum(o2, point)

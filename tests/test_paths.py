@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 from ckcalc.errors import (
     BadInputError,
     ComposeMismatchError,
+    InvalidGraphError,
     InvalidPathError,
     InvalidPointError,
     LengthMismatchError,
@@ -226,6 +227,20 @@ def test_lex_compare_evpaths(o2):
     assert lex_compare(ev(("a",), ("b",)), ev((), ("b",)), o2) == -1
     assert lex_compare(ev((), ("b", "a")), ev((), ("b", "a")), o2) == 0
     assert lex_compare(ev((), ("a", "b")), ev((), ("a",)), o2) == 1
+
+
+def test_check_chain_reports_an_unknown_edge_before_a_break(e2):
+    with pytest.raises(InvalidGraphError, match="zz"):
+        check_finpath(e2, fpath("h", "d", "zz"))
+    with pytest.raises(InvalidPathError, match="'h' then 'd'"):
+        check_finpath(e2, fpath("h", "d"))
+
+
+def test_lex_compare_refuses_an_unknown_edge(o2):
+    with pytest.raises(InvalidGraphError, match="z"):
+        lex_compare(ev((), ("z",)), ev((), ("a",)), o2)
+    with pytest.raises(InvalidGraphError, match="z"):
+        lex_compare(fpath("a"), fpath("z"), o2)
 
 
 def test_continuations_order(o2, e2):
