@@ -19,7 +19,10 @@ A product of monomials is nonzero only when the left beta and the right
 alpha are prefix-comparable, so the product looks up just those pairs:
 each path is keyed by (range, edges), with an empty path at v a prefix of
 every path of range v, and the right factor's terms are indexed by the key
-of alpha and by every proper prefix of it.
+of alpha and by every proper prefix of it.  The products are computed and
+merged as plain key tuples (common source, alpha edges, beta edges), and a
+monomial is built only for a term of the coarsened result; a commutator
+merges both of its products into one map and coarsens it once.
 
 Element equality is semantic: a == b iff a - b normalizes to zero.
 """
@@ -114,12 +117,6 @@ def path_tail_of(g, whole: FinPath, prefix: FinPath):
     return _path(whole.edges[len(prefix):], path_source(g, whole))
 
 
-def _path_key(g, p: FinPath):
-    """(range, edges): p is a prefix of q, in the sense of path_tail_of,
-    exactly when p's key is a prefix of q's key."""
-    return path_range(g, p), p.edges
-
-
 def mono_product(g, m1: CKMono, m2: CKMono):
     """Product of two monomials: a single monomial or None (zero)."""
     t = path_tail_of(g, m2.alpha, m1.beta)
@@ -173,31 +170,36 @@ _ROUGH = object()  # the value of a node the function is not constant on
 
 
 def _coarsest(g, pairs, add):
-    """Coarsest listing of sum(v * 1_Z(m)) over the (m, v) pairs: the basic
-    sets on which it is a constant nonzero value, but not constant on their
-    parent set.  add(x, y) gives None for a zero sum.
-
-    Repeated monomials are merged first.  The monomials and their ancestors
-    form a forest under refine_children; a truncation by a common suffix
-    keeps |alpha| - |beta|, so no tree mixes degrees.  Going down, a node's
-    total adds its parent's.  Going up, a node is flat when its children are
-    flat with one value, a child outside the forest having its parent's
-    total.  A rough node lists its flat children.
-    """
-    merged = {}
+    """Coarsest listing of sum(v * 1_Z(m)) over the (m, v) pairs, as
+    _coarsest_keys gives it, with the given monomial objects kept for the
+    sets that stay.  add(x, y) gives None for a zero sum."""
+    merged, monos = {}, {}
     for m, v in pairs:
-        old = merged.get(m)
+        key = _key(g, m)
+        old = merged.get(key)
         # A first occurrence is stored as is: values are immutable.
-        merged[m] = v if old is None else add(old, v)
-    if not any(m.alpha.edges and m.beta.edges and m.alpha.edges[-1] == m.beta.edges[-1]
-               for m in merged):
+        merged[key] = v if old is None else add(old, v)
+        monos[key] = m
+    return {monos.get(key) or _from_key(key): v
+            for key, v in _coarsest_keys(g, merged, add).items()}
+
+
+def _coarsest_keys(g, merged, add):
+    """Coarsest listing of the function a map from monomial keys to values
+    (None for a zero sum) gives: the basic sets on which it is a constant
+    nonzero value, but not constant on their parent set, keyed the same way.
+
+    The keys and their ancestors form a forest under refine_children; a
+    truncation by a common suffix keeps |alpha| - |beta|, so no tree mixes
+    degrees.  Going down, a node's total adds its parent's.  Going up, a
+    node is flat when its children are flat with one value, a child outside
+    the forest having its parent's total.  A rough node lists its flat
+    children.
+    """
+    if not any(a and b and a[-1] == b[-1] for _, a, b in merged):
         # All roots: none nests in or merges with another.
-        return {m: v for m, v in merged.items() if v is not None}
-    own, monos = {}, {}
-    for m, v in merged.items():
-        if v is not None:
-            key = _key(g, m)
-            own[key], monos[key] = v, m
+        return {key: v for key, v in merged.items() if v is not None}
+    own = {key: v for key, v in merged.items() if v is not None}
     parent = {}
     for node in own:
         for up in _ancestors(g, node):
@@ -223,7 +225,36 @@ def _coarsest(g, pairs, add):
         else:
             out.update((c, v) for c, v in kids if v is not _ROUGH and v is not None)
     out.update((key, v) for key, v in flat.items() if key not in parent and v is not None)
-    return {monos.get(key) or _from_key(key): v for key, v in out.items()}
+    return out
+
+
+def _product_keys(g, left, right, merged):
+    """Add the product of the term maps left and right into merged, a map
+    from monomial keys to coefficients (None for a zero sum).
+
+    A pair of terms has a nonzero product only when the left beta b1 and
+    the right alpha a2 are prefix-comparable.  Its key is then cut from the
+    two keys (s1, a1, b1) and (s2, a2, b2): (s2, a1 + a2[len(b1):], b2) when
+    b1 is a prefix of a2, and (s1, a1, b2 + b1[len(a2):]) when a2 is a
+    proper prefix of b1.
+    """
+    exact, extending = {}, {}
+    for m2, c2 in right.items():
+        s2, a2, b2 = _key(g, m2)
+        v = g.range_of(a2[0]) if a2 else s2
+        exact.setdefault((v, a2), []).append((b2, c2))
+        for i in range(len(a2)):
+            extending.setdefault((v, a2[:i]), []).append((s2, a2, b2, c2))
+    for m1, c1 in left.items():
+        s1, a1, b1 = _key(g, m1)
+        n = len(b1)
+        v = g.range_of(b1[0]) if b1 else s1
+        hits = [((s2, a1 + a2[n:], b2), c2) for s2, a2, b2, c2 in extending.get((v, b1), ())]
+        for i in range(n + 1):
+            hits += [((s1, a1, b2 + b1[i:]), c2) for b2, c2 in exact.get((v, b1[:i]), ())]
+        for key, c2 in hits:
+            c, old = c1 * c2, merged.get(key)
+            merged[key] = c if old is None else _add_scalars(old, c)
 
 
 def _add_scalars(x, y):
@@ -291,6 +322,13 @@ class AlgElement(_Family):
     def _canonical(graph, pairs):
         return _coarsest(graph, pairs, _add_scalars)
 
+    @classmethod
+    def _of_keys(cls, graph, merged):
+        """The element of a map from keys of checked monomials to
+        coefficients (None for a zero sum), as _product_keys fills it."""
+        return cls._trusted(graph, {_from_key(key): c for key, c
+                                    in _coarsest_keys(graph, merged, _add_scalars).items()})
+
     def is_zero(self):
         return not self.terms
 
@@ -323,24 +361,9 @@ class AlgElement(_Family):
     def __mul__(self, other):
         if isinstance(other, AlgElement):
             _same_graph(self, other)
-            g = self.graph
-            exact, extending = {}, {}
-            for m2, c2 in other.terms.items():
-                v, edges = _path_key(g, m2.alpha)
-                exact.setdefault((v, edges), []).append((m2, c2))
-                for i in range(len(edges)):
-                    extending.setdefault((v, edges[:i]), []).append((m2, c2))
-            pairs = []
-            for m1, c1 in self.terms.items():
-                v, edges = key = _path_key(g, m1.beta)
-                candidates = list(extending.get(key, ()))
-                for i in range(len(edges) + 1):
-                    candidates.extend(exact.get((v, edges[:i]), ()))
-                for m2, c2 in candidates:
-                    p = mono_product(g, m1, m2)
-                    if p is not None:
-                        pairs.append((p, c1 * c2))
-            return AlgElement._of_checked(g, pairs)
+            merged = {}
+            _product_keys(self.graph, self.terms, other.terms, merged)
+            return AlgElement._of_keys(self.graph, merged)
         return self.scale(other)
 
     def __rmul__(self, scalar):
@@ -434,8 +457,11 @@ def normalize(a: AlgElement, beta_depth=None) -> AlgElement:
     """The canonical form, or with beta_depth=d a refined listing: each
     degree's coarse terms refined to beta length max(d, the longest beta
     among them).  The listing is the same element, not a canonical form."""
-    if beta_depth is not None and beta_depth < 0:
-        raise BadInputError("beta depth must be nonnegative")
+    if beta_depth is not None:
+        if not isinstance(beta_depth, int):
+            raise BadInputError("beta depth must be an integer, not %r" % (beta_depth,))
+        if beta_depth < 0:
+            raise BadInputError("beta depth must be nonnegative")
     canonical = AlgElement._of_checked(a.graph, a.terms.items())
     if beta_depth is None:
         return canonical

@@ -45,6 +45,8 @@ class LocallyConstantFn:
     __slots__ = ("depth", "table")
 
     def __init__(self, depth, table):
+        if not isinstance(depth, int):
+            raise BadInputError("depth must be an integer, not %r" % (depth,))
         if depth < 0:
             raise BadInputError("depth must be nonnegative")
         clean = {}

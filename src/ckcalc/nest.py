@@ -13,7 +13,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .ckalg import AlgElement, CKMono, check_mono, mono_source, path_tail_of
+from .ckalg import (
+    AlgElement,
+    CKMono,
+    _product_keys,
+    _same_graph,
+    check_mono,
+    mono_source,
+    path_tail_of,
+)
 from .errors import BadInputError, OutOfRangeError, PreconditionError
 from .graph import OrderedGraph, _require_no_sources, _require_order
 from .paths import (
@@ -44,6 +52,8 @@ def _check_nest_graph(og):
 def level_atoms(og: OrderedGraph, level):
     """All length-`level` paths, smallest first in the level order."""
     _check_nest_graph(og)
+    if not isinstance(level, int):
+        raise BadInputError("level must be an integer, not %r" % (level,))
     if level < 0:
         raise BadInputError("level must be nonnegative")
     atoms = all_finpaths(og, level)
@@ -190,4 +200,9 @@ def in_radical_spectrum(og: OrderedGraph, point: GroupoidPoint) -> bool:
 
 
 def commutator(a: AlgElement, b: AlgElement) -> AlgElement:
-    return a * b - b * a
+    """ab - ba: both products merged into one map and coarsened once."""
+    _same_graph(a, b)
+    merged = {}
+    _product_keys(a.graph, a.terms, b.terms, merged)
+    _product_keys(a.graph, (-b).terms, a.terms, merged)
+    return AlgElement._of_keys(a.graph, merged)

@@ -41,12 +41,12 @@ from ckcalc.errors import (
     UnsupportedRootError,
 )
 from ckcalc.graph import underlying, validate
-from ckcalc.nest import nest_projection
+from ckcalc.nest import commutator, nest_projection
 from ckcalc.paths import GroupoidPoint, empty_path, ev, fpath, prepend
 from ckcalc.scalars import GaussianRational
 
 from conftest import build_graph
-from helpers import counting_check_mono, make_rng, rand_element, rand_point
+from helpers import counting_check_mono, make_rng, rand_element, rand_point, random_graph
 
 
 def s(g, *edges):
@@ -143,6 +143,15 @@ def test_normalize_beta_depth(o2):
     assert normalize(deep) == a
     with pytest.raises(BadInputError):
         normalize(a, beta_depth=-1)
+
+
+def test_normalize_refuses_a_non_integer_depth(o2):
+    # Unrefused, a float depth is never reached by the refinement walk.
+    a = identity(o2)
+    for d in (1.5, 2.0, Fraction(1, 2), "1"):
+        with pytest.raises(BadInputError, match="integer"):
+            normalize(a, beta_depth=d)
+    assert len(normalize(a, beta_depth=2).terms) == 4
 
 
 def test_zero_detection(o2):
@@ -389,22 +398,44 @@ def _all_pairs_product(x, y):
     return AlgElement(x.graph, pairs)
 
 
-@pytest.mark.parametrize("name", ["o2", "e2", "loop3e", "c2"])
+@pytest.mark.parametrize("name", ["o2", "e2", "loop3e", "c2", "random"])
 def test_product_matches_all_pairs_reference(request, name):
-    g = underlying(request.getfixturevalue(name))
     rng = make_rng(31)
-    operands = [rand_element(g, rng, n_terms=6, max_len=3) for _ in range(6)]
-    operands += [vertex_projection(g, v) for v in g.vertices]
-    for e in g.edges:
-        operands += [s(g, e.id), s(g, e.id).adjoint()]
-    for _ in range(3):
-        mixed = rng.sample(operands, 3)
-        operands.append(mixed[0] + mixed[1].scale(2) + mixed[2])
-    for x in operands:
-        for y in operands:
-            got, want = x * y, _all_pairs_product(x, y)
-            assert got == want
-            assert element_to_json_obj(got) == element_to_json_obj(want)
+    if name == "random":
+        graphs = [random_graph(rng, sources=False) for _ in range(6)]
+    else:
+        graphs = [underlying(request.getfixturevalue(name))]
+    for g in graphs:
+        operands = [rand_element(g, rng, n_terms=6, max_len=3) for _ in range(6)]
+        operands += [vertex_projection(g, v) for v in g.vertices]
+        for e in g.edges:
+            operands += [s(g, e.id), s(g, e.id).adjoint()]
+        for _ in range(3):
+            mixed = rng.sample(operands, 3)
+            operands.append(mixed[0] + mixed[1].scale(2) + mixed[2])
+        # An operand whose terms partly cancel: x y - (2/3) y x.
+        operands.append(operands[0] * operands[1] - operands[1].scale(Fraction(2, 3)) * operands[0])
+        for x in operands:
+            for y in operands:
+                got, want = x * y, _all_pairs_product(x, y)
+                assert got.terms == want.terms
+                assert element_to_json_obj(got) == element_to_json_obj(want)
+                assert commutator(x, y).terms == (got - y * x).terms
+
+
+def test_product_key_that_cancels_and_reappears(o2):
+    # S_a comes from p_v (-1/2 S_a), then (1/2 S_a) p_v, which cancel, and
+    # then from (2/3 S_a S_b*)(3/4 S_b).
+    a, b = fpath("a"), fpath("b")
+    p, sa, sb = vertex_projection(o2, "v"), s(o2, "a"), s(o2, "b")
+    x = p + sa.scale(Fraction(1, 2)) + (sa * sb.adjoint()).scale(Fraction(2, 3))
+    y = p - sa.scale(Fraction(1, 2)) + sb.scale(Fraction(3, 4))
+    ep = empty_path("v")
+    want = {CKMono(ep, ep): 1, CKMono(a, ep): Fraction(1, 2), CKMono(b, ep): Fraction(3, 4),
+            CKMono(fpath("a", "a"), ep): Fraction(-1, 4),
+            CKMono(fpath("a", "b"), ep): Fraction(3, 8), CKMono(a, b): Fraction(2, 3)}
+    assert (x * y).terms == {m: GaussianRational(c) for m, c in want.items()}
+    assert (x * y).terms == _all_pairs_product(x, y).terms
 
 
 def test_graph_with_a_source_is_rejected():

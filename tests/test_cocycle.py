@@ -70,6 +70,9 @@ def test_fn_construction_errors():
         LocallyConstantFn(2, {("a",): 1})
     with pytest.raises(BadInputError):
         LocallyConstantFn(0, {})
+    for depth in ("1", 1.5, 2.0):
+        with pytest.raises(BadInputError, match="integer"):
+            LocallyConstantFn(depth, {})
     f = LocallyConstantFn.constant(Fraction(3, 2))
     assert f.depth == 0
     assert f.value_at(()) == Fraction(3, 2)

@@ -57,6 +57,15 @@ def test_level_atoms_order(o2, e2):
         level_atoms(o2, -1)
 
 
+def test_level_refuses_a_non_integer(o2):
+    # Unrefused, a float level is never reached by the path walk.
+    for level in (1.5, 2.0, "1"):
+        with pytest.raises(BadInputError, match="integer"):
+            level_atoms(o2, level)
+        with pytest.raises(BadInputError, match="integer"):
+            nest_projection(o2, level, 1)
+
+
 def test_nest_projection_examples(o2):
     assert nest_projection(o2, 1, 1) == range_projection(o2, fpath("a"))
     assert nest_projection(o2, 2, 2) == range_projection(o2, fpath("a", "a")) + range_projection(o2, fpath("a", "b"))
