@@ -1,11 +1,11 @@
 """Basic-set spectra of diagonal bimodules.
 
-A spectrum is held as a finite family of basic sets, each indexed by a pair
-of paths exactly like a monomial.  It is the support of an element with
-indicator values, and it shares the element's family core (ckalg._Family):
-the same guarded build and the same coarsest listing, with union in place
-of sum.  So no member contains another, and no complete set of one-edge
-refinements is present without being coarsened back to its parent.
+A spectrum is a finite family of basic sets, keyed like an element's terms
+and valued True: the support of an element with indicator values.  It
+shares the element's family core (ckalg._Family): the same guarded build and
+the same coarsest listing, with union in place of sum.  So no member
+contains another, and no complete set of one-edge refinements is present
+without being coarsened back to its parent.
 
 A set is covered by a family exactly when adding it leaves the canonical
 family unchanged, so membership is one more canonical listing, never a
@@ -21,11 +21,13 @@ from .ckalg import (
     CKMono,
     check_mono,
     mono_from_json_obj,
-    mono_to_json_obj,
     path_tail_of,
     _Family,
-    _coarsest,
-    _mono_sort_key,
+    _coarsest_keys,
+    _from_key,
+    _key,
+    _key_order,
+    _key_to_json_obj,
     _same_graph,
 )
 from .cocycle import LocallyConstantFn, _cocycle_pieces
@@ -46,47 +48,54 @@ class SpectrumSet(_Family):
     """Canonical finite family of basic sets: the coarsest one covering the
     union of the given sets, so equal unions give equal families."""
 
-    __slots__ = ("cylinders",)
-    _field, _layer = "cylinders", "a spectrum"
+    __slots__ = ()
+    _layer = "a spectrum"
 
     def __init__(self, graph, cylinders):
         cylinders = set(cylinders)
-        self._build(graph, cylinders, cylinders)
+        graph = self._plain(graph, cylinders)
+        self._init(graph, self._canonical(graph, {_key(graph, c): True for c in cylinders}))
 
     @staticmethod
-    def _canonical(graph, cylinders):
-        return frozenset(_coarsest(graph, ((c, True) for c in cylinders), operator.or_))
+    def _canonical(graph, merged):
+        return _coarsest_keys(graph, merged, operator.or_)
 
     @classmethod
     def from_cylinders(cls, g, cylinders) -> "SpectrumSet":
         """The canonical family covering the union of the basic sets."""
         return cls(g, cylinders)
 
+    @property
+    def cylinders(self):
+        """A new frozenset of CKMono on each read."""
+        return frozenset(map(_from_key, self._keys))
+
     def sorted_cylinders(self):
-        return sorted(self.cylinders, key=_mono_sort_key)
+        return [_from_key(key) for key in sorted(self._keys, key=_key_order)]
 
     def __eq__(self, other):
         if not isinstance(other, SpectrumSet):
             return NotImplemented
-        return self.graph is other.graph and self.cylinders == other.cylinders
+        return self.graph is other.graph and self._keys == other._keys
 
     def __hash__(self):
-        return hash(self.cylinders)
+        return hash(frozenset(self._keys))
 
     def __len__(self):
-        return len(self.cylinders)
+        return len(self._keys)
 
     def __iter__(self):
         return iter(self.sorted_cylinders())
 
     def __repr__(self):
-        return "SpectrumSet(%d basic sets)" % len(self.cylinders)
+        return "SpectrumSet(%d basic sets)" % len(self._keys)
 
 
-def _covers(spectrum: SpectrumSet, monos) -> bool:
-    """Whether adding the basic sets of monos leaves the spectrum as it was."""
-    family = spectrum.cylinders
-    return SpectrumSet._canonical(spectrum.graph, [*family, *monos]) == family
+def _covers(spectrum: SpectrumSet, keys) -> bool:
+    """Whether adding the basic sets of keys leaves the spectrum as it was."""
+    family = spectrum._keys
+    merged = {**family, **dict.fromkeys(keys, True)}
+    return SpectrumSet._canonical(spectrum.graph, merged) == family
 
 
 def member(g, m: CKMono, spectrum: SpectrumSet) -> bool:
@@ -95,7 +104,7 @@ def member(g, m: CKMono, spectrum: SpectrumSet) -> bool:
     if underlying(g) is not spectrum.graph:
         raise BadInputError("the spectrum lives over a different graph")
     check_mono(spectrum.graph, m)
-    return _covers(spectrum, [m])
+    return _covers(spectrum, [_key(spectrum.graph, m)])
 
 
 def generated_spectrum(gens) -> SpectrumSet:
@@ -105,10 +114,9 @@ def generated_spectrum(gens) -> SpectrumSet:
     gens = list(gens)
     if not gens:
         raise BadInputError("need at least one generator")
-    g = gens[0].graph
-    if any(a.graph is not g for a in gens):
-        raise BadInputError("generators live over different graphs")
-    return SpectrumSet._of_checked(g, [m for a in gens for m in a.terms])
+    for a in gens:
+        _same_graph(gens[0], a)
+    return SpectrumSet._of_merged(gens[0].graph, {key: True for a in gens for key in a._keys})
 
 
 def bimodule_member(a: AlgElement, gens) -> bool:
@@ -117,9 +125,10 @@ def bimodule_member(a: AlgElement, gens) -> bool:
     their span whenever the span is determined by its spectrum, as when every
     loop has an entrance.  Otherwise it can be larger: on one vertex v with
     one loop a, S_a, p_v and p_v - S_a all lie in it for the generator p_v + S_a."""
+    gens = list(gens)
     spectrum = generated_spectrum(gens)
-    _same_graph(a, spectrum)
-    return _covers(spectrum, a.terms)
+    _same_graph(a, gens[0])
+    return _covers(spectrum, a._keys)
 
 
 def ck_in_analytic(g, f: LocallyConstantFn, m: CKMono) -> bool:
@@ -134,16 +143,16 @@ def ck_in_analytic(g, f: LocallyConstantFn, m: CKMono) -> bool:
     """
     _require_no_sources(g, "the cocycle layer")
     check_mono(g, m)
-    return all(value >= 0 for _, value in _cocycle_pieces(g, f, m))
+    return all(value >= 0 for _, value in _cocycle_pieces(g, f, _key(g, m)))
 
 
 def spectrum_to_json_obj(s: SpectrumSet):
-    return [mono_to_json_obj(s.graph, c) for c in s.sorted_cylinders()]
+    return [_key_to_json_obj(key) for key in sorted(s._keys, key=_key_order)]
 
 
 def spectrum_from_json_obj(g, obj) -> SpectrumSet:
     if not isinstance(obj, list):
         raise BadInputError("spectrum JSON must be a list")
-    cylinders = [mono_from_json_obj(g, item) for item in obj]
+    keys = [_key(g, mono_from_json_obj(g, item)) for item in obj]
     # The monomials are checked, so only the graph's guard is left.
-    return SpectrumSet._of_checked(SpectrumSet._plain(g), cylinders)
+    return SpectrumSet._of_merged(SpectrumSet._plain(g), dict.fromkeys(keys, True))

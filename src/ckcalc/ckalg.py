@@ -7,6 +7,8 @@ times the indicator of the basic set Z(alpha, beta).  Within one degree
 these sets are disjoint or nested, and they form a forest under the child
 expansion (refine_children) that replaces (alpha, beta) by its one-edge
 extensions (alpha e, beta e) over the in-edges of the common source.
+Every operation reads and writes plain keys (common source, alpha edges,
+beta edges); .terms and monomials() build CKMono views on each read.
 
 The stored form is the coarsest one (the reduced decision-diagram rule):
 per degree, the largest basic sets on which the function is a constant
@@ -19,10 +21,8 @@ A product of monomials is nonzero only when the left beta and the right
 alpha are prefix-comparable, so the product looks up just those pairs:
 each path is keyed by (range, edges), with an empty path at v a prefix of
 every path of range v, and the right factor's terms are indexed by the key
-of alpha and by every proper prefix of it.  The products are computed and
-merged as plain key tuples (common source, alpha edges, beta edges), and a
-monomial is built only for a term of the coarsened result; a commutator
-merges both of its products into one map and coarsens it once.
+of alpha and by every proper prefix of it.  A commutator merges both of
+its products into one map and coarsens it once.
 
 Element equality is semantic: a == b iff a - b normalizes to zero.
 """
@@ -48,6 +48,7 @@ from .graph import (
 from .paths import (
     FinPath,
     GroupoidPoint,
+    _in_basic_set,
     _path,
     _walk,
     check_evpath,
@@ -56,7 +57,6 @@ from .paths import (
     join_paths,
     path_range,
     path_source,
-    point_in_Z,
 )
 from .scalars import (
     GaussianRational,
@@ -130,16 +130,15 @@ def mono_product(g, m1: CKMono, m2: CKMono):
 
 def refine_children(g, m: CKMono):
     """One-step child expansion over the in-edges of the common source."""
-    return [_from_key(key) for key in _children(g, _key(g, m))]
+    return [_from_key(key) for key in _refine(g, _key(g, m), 1)]
 
 
-def _refinements(g, m: CKMono, depth):
-    """The basic set of m cut by every window w of the given length into its
-    source: yields (w, the monomial (alpha w, beta w)) in in-edge order."""
-    src = mono_source(g, m)
-    for word in _walk(g, src, depth):
-        w = _path(word, src)
-        yield w, CKMono(join_paths(m.alpha, w), join_paths(m.beta, w))
+def _refine(g, key, depth):
+    """The basic set of key cut by every window w of the given length into
+    its source: the keys (source of w, alpha w, beta w), in in-edge order."""
+    src, a, b = key
+    for w in _walk(g, src, depth):
+        yield g.source_of(w[-1]) if w else src, a + w, b + w
 
 
 def _key(g, m: CKMono):
@@ -152,6 +151,17 @@ def _from_key(key) -> CKMono:
     return CKMono(_path(a, src), _path(b, src))
 
 
+def _degree(key):
+    _, a, b = key
+    return len(a) - len(b)
+
+
+def _key_order(key):
+    """Listing order: by degree, then beta, then alpha; an empty beta by its vertex."""
+    src, a, b = key
+    return _degree(key), len(b), b, "" if b else src, a
+
+
 def _ancestors(g, key):
     """The basic sets strictly containing that of key, smallest first: the
     truncations of alpha and beta by a common suffix."""
@@ -161,33 +171,14 @@ def _ancestors(g, key):
         yield src, a, b
 
 
-def _children(g, key):
-    src, a, b = key
-    return [(e.source, a + (e.id,), b + (e.id,)) for e in g.in_edges(src)]
-
-
 _ROUGH = object()  # the value of a node the function is not constant on
-
-
-def _coarsest(g, pairs, add):
-    """Coarsest listing of sum(v * 1_Z(m)) over the (m, v) pairs, as
-    _coarsest_keys gives it, with the given monomial objects kept for the
-    sets that stay.  add(x, y) gives None for a zero sum."""
-    merged, monos = {}, {}
-    for m, v in pairs:
-        key = _key(g, m)
-        old = merged.get(key)
-        # A first occurrence is stored as is: values are immutable.
-        merged[key] = v if old is None else add(old, v)
-        monos[key] = m
-    return {monos.get(key) or _from_key(key): v
-            for key, v in _coarsest_keys(g, merged, add).items()}
 
 
 def _coarsest_keys(g, merged, add):
     """Coarsest listing of the function a map from monomial keys to values
     (None for a zero sum) gives: the basic sets on which it is a constant
-    nonzero value, but not constant on their parent set, keyed the same way.
+    nonzero value, but not constant on their parent set, keyed the same way
+    (merged is only read).
 
     The keys and their ancestors form a forest under refine_children; a
     truncation by a common suffix keeps |alpha| - |beta|, so no tree mixes
@@ -218,7 +209,7 @@ def _coarsest_keys(g, merged, add):
             flat[key] = total[key]
             continue
         kids = [(c, flat.get(c, _ROUGH) if c in total else total[key])
-                for c in _children(g, key)]
+                for c in _refine(g, key, 1)]
         first = kids[0][1]
         if first is not _ROUGH and all(v == first for _, v in kids):
             flat[key] = first
@@ -229,7 +220,7 @@ def _coarsest_keys(g, merged, add):
 
 
 def _product_keys(g, left, right, merged):
-    """Add the product of the term maps left and right into merged, a map
+    """Add the product of the key maps left and right into merged, a map
     from monomial keys to coefficients (None for a zero sum).
 
     A pair of terms has a nonzero product only when the left beta b1 and
@@ -239,22 +230,18 @@ def _product_keys(g, left, right, merged):
     proper prefix of b1.
     """
     exact, extending = {}, {}
-    for m2, c2 in right.items():
-        s2, a2, b2 = _key(g, m2)
+    for (s2, a2, b2), c2 in right.items():
         v = g.range_of(a2[0]) if a2 else s2
         exact.setdefault((v, a2), []).append((b2, c2))
         for i in range(len(a2)):
             extending.setdefault((v, a2[:i]), []).append((s2, a2, b2, c2))
-    for m1, c1 in left.items():
-        s1, a1, b1 = _key(g, m1)
+    for (s1, a1, b1), c1 in left.items():
         n = len(b1)
         v = g.range_of(b1[0]) if b1 else s1
         hits = [((s2, a1 + a2[n:], b2), c2) for s2, a2, b2, c2 in extending.get((v, b1), ())]
         for i in range(n + 1):
             hits += [((s1, a1, b2 + b1[i:]), c2) for b2, c2 in exact.get((v, b1[:i]), ())]
-        for key, c2 in hits:
-            c, old = c1 * c2, merged.get(key)
-            merged[key] = c if old is None else _add_scalars(old, c)
+        _add_into(merged, ((key, c1 * c2) for key, c2 in hits))
 
 
 def _add_scalars(x, y):
@@ -262,108 +249,113 @@ def _add_scalars(x, y):
     return None if s.is_zero() else s
 
 
+def _add_into(merged, pairs):
+    """Add the (key, coefficient) pairs into merged (None for a zero sum)."""
+    for key, c in pairs:
+        old = merged.get(key)
+        merged[key] = c if old is None else _add_scalars(old, c)
+    return merged
+
+
 class _Family:
     """A canonical finite family of basic sets with values over a plain graph
-    without sources.  A subclass sets the attribute that holds it (_field),
-    the layer its guard names (_layer) and _canonical(graph, items)."""
+    without sources, held as one map _keys from monomial keys to values.  A
+    subclass sets the layer its guard names (_layer) and _canonical(graph,
+    merged), the coarsest listing of a key map (None for a zero sum)."""
 
-    __slots__ = ("graph",)
+    __slots__ = ("graph", "_keys")
 
     @classmethod
-    def _plain(cls, graph):
+    def _plain(cls, graph, monos=()):
+        """The plain graph, guarded, with the distinct monomials monos checked."""
         graph = underlying(graph)
         # A basic set at a source is empty and has no children to refine into.
         _require_no_sources(graph, cls._layer)
-        return graph
-
-    def _build(self, graph, monos, items):
-        """The guarded build: check each of the distinct monomials monos once
-        against the plain graph, then store the canonical family of items."""
-        graph = self._plain(graph)
         for m in monos:
             check_mono(graph, m)
+        return graph
+
+    def _init(self, graph, keys):
         object.__setattr__(self, "graph", graph)
-        object.__setattr__(self, self._field, self._canonical(graph, items))
+        object.__setattr__(self, "_keys", keys)
 
     @classmethod
-    def _trusted(cls, graph, family):
-        """The object of a family already canonical over a plain graph."""
+    def _trusted(cls, graph, keys):
+        """The object of a key map already canonical over a plain graph."""
         s = object.__new__(cls)
-        object.__setattr__(s, "graph", graph)
-        object.__setattr__(s, cls._field, family)
+        s._init(graph, keys)
         return s
 
     @classmethod
-    def _of_checked(cls, graph, items):
-        """The object of items whose monomials are checked against a plain
-        graph without sources."""
-        return cls._trusted(graph, cls._canonical(graph, items))
+    def _of_merged(cls, graph, merged):
+        """The object of a key map of checked monomials (None for a zero sum)."""
+        return cls._trusted(graph, cls._canonical(graph, merged))
 
     def __setattr__(self, name, value):
         raise AttributeError("%s is immutable" % type(self).__name__)
 
     def __reduce__(self):
         # Through _trusted, so a refined listing from normalize is kept as is.
-        return self._trusted, (self.graph, getattr(self, self._field))
+        return self._trusted, (self.graph, self._keys)
 
 
 class AlgElement(_Family):
     """Finite linear combination of monomials, kept in normal form."""
 
-    __slots__ = ("terms",)
-    _field, _layer = "terms", "the algebra"
+    __slots__ = ()
+    _layer = "the algebra"
 
     def __init__(self, graph, terms=()):
         pairs = list(terms.items() if isinstance(terms, dict) else terms)
-        coerced = ((m, as_gaussian(c)) for m, c in pairs)  # lazily, after the checks
-        self._build(graph, {m for m, _ in pairs}, ((m, c) for m, c in coerced if not c.is_zero()))
+        graph = self._plain(graph, {m for m, _ in pairs})
+        coerced = ((_key(graph, m), as_gaussian(c)) for m, c in pairs)  # after the checks
+        self._init(graph, self._canonical(
+            graph, _add_into({}, ((key, c) for key, c in coerced if not c.is_zero()))))
 
     @staticmethod
-    def _canonical(graph, pairs):
-        return _coarsest(graph, pairs, _add_scalars)
+    def _canonical(graph, merged):
+        return _coarsest_keys(graph, merged, _add_scalars)
 
-    @classmethod
-    def _of_keys(cls, graph, merged):
-        """The element of a map from keys of checked monomials to
-        coefficients (None for a zero sum), as _product_keys fills it."""
-        return cls._trusted(graph, {_from_key(key): c for key, c
-                                    in _coarsest_keys(graph, merged, _add_scalars).items()})
+    @property
+    def terms(self):
+        """The terms as a new map from CKMono to coefficient on each read."""
+        return {_from_key(key): c for key, c in self._keys.items()}
 
     def is_zero(self):
-        return not self.terms
+        return not self._keys
 
     def monomials(self):
-        return sorted(self.terms, key=_mono_sort_key)
+        return [_from_key(key) for key in sorted(self._keys, key=_key_order)]
 
     def coefficient(self, mono) -> GaussianRational:
         return self.terms.get(mono, ZERO)
 
     def degrees(self):
-        return sorted({m.degree for m in self.terms})
+        return sorted({_degree(key) for key in self._keys})
 
     def __add__(self, other):
         _same_graph(self, other)
-        pairs = list(self.terms.items()) + list(other.terms.items())
-        return AlgElement._of_checked(self.graph, pairs)
+        return AlgElement._of_merged(
+            self.graph, _add_into(dict(self._keys), other._keys.items()))
 
     def __sub__(self, other):
         return self + (-other)
 
     def __neg__(self):
-        return AlgElement._trusted(self.graph, {m: -c for m, c in self.terms.items()})
+        return AlgElement._trusted(self.graph, {key: -c for key, c in self._keys.items()})
 
     def scale(self, scalar):
         c0 = as_gaussian(scalar)
         if c0.is_zero():
             return zero(self.graph)
-        return AlgElement._trusted(self.graph, {m: c0 * c for m, c in self.terms.items()})
+        return AlgElement._trusted(self.graph, {key: c0 * c for key, c in self._keys.items()})
 
     def __mul__(self, other):
         if isinstance(other, AlgElement):
             _same_graph(self, other)
             merged = {}
-            _product_keys(self.graph, self.terms, other.terms, merged)
-            return AlgElement._of_keys(self.graph, merged)
+            _product_keys(self.graph, self._keys, other._keys, merged)
+            return AlgElement._of_merged(self.graph, merged)
         return self.scale(other)
 
     def __rmul__(self, scalar):
@@ -371,7 +363,7 @@ class AlgElement(_Family):
 
     def adjoint(self):
         return AlgElement._trusted(
-            self.graph, {m.adjoint(): c.conjugate() for m, c in self.terms.items()}
+            self.graph, {(src, b, a): c.conjugate() for (src, a, b), c in self._keys.items()}
         )
 
     def __eq__(self, other):
@@ -384,23 +376,14 @@ class AlgElement(_Family):
     def __repr__(self):
         if self.is_zero():
             return "AlgElement(0)"
-        return "AlgElement(%d terms, degrees %s)" % (len(self.terms), self.degrees())
+        return "AlgElement(%d terms, degrees %s)" % (len(self._keys), self.degrees())
 
 
 def _same_graph(a, b):
+    if not (isinstance(a, AlgElement) and isinstance(b, AlgElement)):
+        raise BadInputError("expected two elements, not %r and %r" % (a, b))
     if a.graph is not b.graph:
         raise BadInputError("elements live over different graphs")
-
-
-def _mono_sort_key(m: CKMono):
-    return (
-        m.degree,
-        len(m.beta),
-        m.beta.edges,
-        m.beta.anchor or "",
-        m.alpha.edges,
-        m.alpha.anchor or "",
-    )
 
 
 def element(g, pairs) -> AlgElement:
@@ -462,15 +445,16 @@ def normalize(a: AlgElement, beta_depth=None) -> AlgElement:
             raise BadInputError("beta depth must be an integer, not %r" % (beta_depth,))
         if beta_depth < 0:
             raise BadInputError("beta depth must be nonnegative")
-    canonical = AlgElement._of_checked(a.graph, a.terms.items())
+    canonical = AlgElement._canonical(a.graph, a._keys)
     if beta_depth is None:
-        return canonical
+        return AlgElement._trusted(a.graph, canonical)
     target = {}
-    for m in canonical.terms:
-        target[m.degree] = max(target.get(m.degree, beta_depth), len(m.beta))
+    for key in canonical:
+        d = _degree(key)
+        target[d] = max(target.get(d, beta_depth), len(key[2]))
     return AlgElement._trusted(a.graph, {
-        piece: c for m, c in canonical.terms.items()
-        for _, piece in _refinements(a.graph, m, target[m.degree] - len(m.beta))})
+        piece: c for key, c in canonical.items()
+        for piece in _refine(a.graph, key, target[_degree(key)] - len(key[2]))})
 
 
 def adjoint(a):
@@ -480,7 +464,7 @@ def adjoint(a):
 def phi_m(a: AlgElement, m) -> AlgElement:
     """Degree-m graded part."""
     return AlgElement._trusted(
-        a.graph, {mono: c for mono, c in a.terms.items() if mono.degree == m}
+        a.graph, {key: c for key, c in a._keys.items() if _degree(key) == m}
     )
 
 
@@ -496,7 +480,7 @@ def gauge(a: AlgElement, n, j) -> AlgElement:
     step = 4 // n
     return AlgElement._trusted(
         a.graph,
-        {mono: c.times_i_power(step * j * mono.degree) for mono, c in a.terms.items()},
+        {key: c.times_i_power(step * j * _degree(key)) for key, c in a._keys.items()},
     )
 
 
@@ -505,8 +489,8 @@ def evaluate(a: AlgElement, point: GroupoidPoint) -> GaussianRational:
     check_evpath(a.graph, point.x)
     check_evpath(a.graph, point.y)
     total = ZERO
-    for mono, c in a.terms.items():
-        if point_in_Z(a.graph, point, mono.alpha, mono.beta):
+    for key, c in a._keys.items():
+        if _in_basic_set(a.graph, point, *key):
             total = total + c
     return total
 
@@ -515,7 +499,7 @@ def support_spectrum(a: AlgElement):
     """Canonical basic-set family supporting the element."""
     from .bimodule import SpectrumSet
 
-    return SpectrumSet._of_checked(a.graph, a.terms)
+    return SpectrumSet._of_merged(a.graph, dict.fromkeys(a._keys, True))
 
 
 def cylinders_disjoint(g, p: FinPath, q: FinPath) -> bool:
@@ -526,12 +510,12 @@ def cylinders_disjoint(g, p: FinPath, q: FinPath) -> bool:
 def _overlapping_side(a: AlgElement):
     """Which projections of the first overlapping pair of distinct terms
     overlap: "initial" (beta) or "final" (alpha); None if none do."""
-    monos = a.monomials()
-    for i, m1 in enumerate(monos):
-        for m2 in monos[i + 1:]:
-            if not cylinders_disjoint(a.graph, m1.beta, m2.beta):
+    pairs = [(_path(al, src), _path(be, src)) for src, al, be in sorted(a._keys, key=_key_order)]
+    for i, (a1, b1) in enumerate(pairs):
+        for a2, b2 in pairs[i + 1:]:
+            if not cylinders_disjoint(a.graph, b1, b2):
                 return "initial"
-            if not cylinders_disjoint(a.graph, m1.alpha, m2.alpha):
+            if not cylinders_disjoint(a.graph, a1, a2):
                 return "final"
     return None
 
@@ -539,7 +523,7 @@ def _overlapping_side(a: AlgElement):
 def is_normalizing_pi(a: AlgElement) -> bool:
     """Structural test: unimodular coefficients, orthogonal initial and
     final projections across distinct terms."""
-    if any(c.modulus_squared() != 1 for c in a.terms.values()):
+    if any(c.modulus_squared() != 1 for c in a._keys.values()):
         return False
     return _overlapping_side(a) is None
 
@@ -551,7 +535,7 @@ def restricted_norm(a: AlgElement) -> Fraction:
     side = _overlapping_side(a)
     if side is not None:
         raise UnsupportedNormError("%s projections overlap" % side)
-    best = max(c.modulus_squared() for c in a.terms.values())
+    best = max(c.modulus_squared() for c in a._keys.values())
     root = rational_sqrt(best)
     if root is None:
         raise UnsupportedNormError("norm is not rational")
@@ -621,8 +605,8 @@ def af_compression_projections(g, e: CKMono, k):
 
 def check_proj_afpart(a: AlgElement, e: CKMono, k) -> bool:
     """Verify q a p == q phi_0(a) p for the chained projection pair."""
-    for mono in a.terms:
-        if len(mono.alpha) > k or len(mono.beta) > k:
+    for _, al, be in a._keys:
+        if len(al) > k or len(be) > k:
             raise PreconditionError("element exceeds the stated path-length bound")
     p_mono, q_mono = af_compression_projections(a.graph, e, k)
     p = mono_element(a.graph, p_mono)
@@ -630,16 +614,16 @@ def check_proj_afpart(a: AlgElement, e: CKMono, k) -> bool:
     return q * a * p == q * phi_m(a, 0) * p
 
 
-def mono_to_json_obj(g, m: CKMono):
-    return {"alpha": list(m.alpha.edges), "beta": list(m.beta.edges),
-            "anchor": mono_source(g, m)}
+def _key_to_json_obj(key):
+    src, a, b = key
+    return {"alpha": list(a), "beta": list(b), "anchor": src}
 
 
 def element_to_json_obj(a: AlgElement):
     out = []
-    for m in a.monomials():
-        c = a.terms[m]
-        out.append(dict(mono_to_json_obj(a.graph, m), re=format_rational(c.re),
+    for key in sorted(a._keys, key=_key_order):
+        c = a._keys[key]
+        out.append(dict(_key_to_json_obj(key), re=format_rational(c.re),
                         im=format_rational(c.im)))
     return out
 
@@ -666,12 +650,12 @@ def element_from_json_obj(g, obj) -> AlgElement:
         raise BadInputError("element JSON must be a list of terms")
     pairs = []
     for item in obj:
-        m = mono_from_json_obj(g, item)
+        key = _key(g, mono_from_json_obj(g, item))
         c = GaussianRational(
             rational_from_json_obj(item.get("re", "0")),
             rational_from_json_obj(item.get("im", "0")),
         )
         if not c.is_zero():
-            pairs.append((m, c))
+            pairs.append((key, c))
     # The monomials are checked, so only the graph's guard is left.
-    return AlgElement._of_checked(AlgElement._plain(g), pairs)
+    return AlgElement._of_merged(AlgElement._plain(g), _add_into({}, pairs))

@@ -7,7 +7,8 @@ induced cocycle at a point (x, k, y) is the telescoping sum
 
 for k >= 0 (and minus the value at the inverse point for k < 0); beyond
 the stabilization index the shifted paths coincide and the tail vanishes,
-so the sum is finite and exact.  All values are plain rationals.
+so the sum is finite and exact.  All values are plain rationals.  One
+evaluator (_telescope) serves both signs of k, points, tailed pairs and pieces.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .ckalg import AlgElement, CKMono, _refinements
+from .ckalg import AlgElement, _refine
 from .errors import (
     BadInputError,
     InvalidFunctionError,
@@ -32,7 +33,6 @@ from .paths import (
     _walk,
     check_finpath,
     empty_path,
-    inverse,
     path_range,
     path_source,
 )
@@ -127,14 +127,14 @@ class TailedPair:
 
 
 def _telescope(f, xw, yw, k, stop) -> Fraction:
-    """sum_{j<k} f(x_j) + sum_{k<=j<stop} [f(x_j) - f(y_{j-k})], where x_j
-    is the depth-long window of the edge word xw starting at j."""
+    """sum_{j<stop} f(x_j) - sum_{j<stop-k} f(y_j) for the depth-long windows x_j, y_j of xw,
+    yw at j: the cocycle, for either sign of k, once x, y agree k apart past stop."""
     d = f.depth
     total = Fraction(0)
-    for j in range(0, k):
+    for j in range(stop):
         total += f.value_at(xw[j: j + d])
-    for j in range(k, stop):
-        total += f.value_at(xw[j: j + d]) - f.value_at(yw[j - k: j - k + d])
+    for j in range(stop - k):
+        total -= f.value_at(yw[j: j + d])
     return total
 
 
@@ -144,12 +144,8 @@ def eval_cocycle_tailed(f: LocallyConstantFn, tp: TailedPair) -> Fraction:
         raise WindowTooShortError(
             "window %d shorter than depth %d" % (len(tp.window), f.depth)
         )
-    k = tp.k
-    if k < 0:
-        return -eval_cocycle_tailed(f, tp.swapped())
-    xw = tp.prefix_x.edges + tp.window.edges
-    yw = tp.prefix_y.edges + tp.window.edges
-    return _telescope(f, xw, yw, k, len(tp.prefix_x))
+    w = tp.window.edges
+    return _telescope(f, tp.prefix_x.edges + w, tp.prefix_y.edges + w, tp.k, len(tp.prefix_x))
 
 
 def eval_cocycle(f: LocallyConstantFn, point: GroupoidPoint) -> Fraction:
@@ -157,11 +153,8 @@ def eval_cocycle(f: LocallyConstantFn, point: GroupoidPoint) -> Fraction:
 
     From index stop on, x and y agree k steps apart, so the tail vanishes.
     """
-    k = point.k
-    if k < 0:
-        return -eval_cocycle(f, inverse(point))
-    x, y = point.x, point.y
-    stop = max(len(x.prefix), len(y.prefix) + k, k)
+    x, k, y = point.x, point.k, point.y
+    stop = max(len(x.prefix), len(y.prefix) + k, k, 0)
     return _telescope(
         f, x.truncation(stop + f.depth), y.truncation(stop - k + f.depth), k, stop
     )
@@ -179,10 +172,10 @@ def reconstruct_f(g, f: LocallyConstantFn):
     _require_no_sources(g, "the cocycle layer")
     failures = []
     for e in g.edges:
-        for piece, got in _cocycle_pieces(g, f, CKMono(FinPath((e.id,)), empty_path(e.source))):
-            expected = f.value_at(piece.alpha.edges)
+        for (_, word, _), got in _cocycle_pieces(g, f, (e.source, (e.id,), ())):
+            expected = f.value_at(word)
             if got != expected:
-                failures.append((piece.alpha, expected, got))
+                failures.append((FinPath(word), expected, got))
     return not failures, failures
 
 
@@ -335,12 +328,13 @@ def is_z1_0_sampled(f: LocallyConstantFn, samples) -> Z10Report:
     return Z10Report(ok=not failures, failures=tuple(failures))
 
 
-def _cocycle_pieces(g, f: LocallyConstantFn, m: CKMono):
-    """Refine the basic set of m by every window w of the function depth into
-    its source, yielding (the piece (alpha w, beta w), the cocycle's value
-    on it)."""
-    for w, piece in _refinements(g, m, f.depth):
-        yield piece, eval_cocycle_tailed(f, TailedPair(m.alpha, m.beta, w))
+def _cocycle_pieces(g, f: LocallyConstantFn, key):
+    """Refine the basic set of a monomial key by every window w of the
+    function depth into its source, yielding (the piece's key, the cocycle's
+    value on it): the value of the tailed pair (alpha, beta, w)."""
+    _, a, b = key
+    for piece in _refine(g, key, f.depth):
+        yield piece, _telescope(f, piece[1], piece[2], len(a) - len(b), len(a))
 
 
 def cocycle_graded_projection(f: LocallyConstantFn, a, value) -> AlgElement:
@@ -351,10 +345,10 @@ def cocycle_graded_projection(f: LocallyConstantFn, a, value) -> AlgElement:
     exact selection of pieces.  With f constant 1 this is the usual grading.
     """
     value = parse_rational(value)
-    pairs = [(piece, coeff) for mono, coeff in a.terms.items()
-             for piece, piece_value in _cocycle_pieces(a.graph, f, mono)
-             if piece_value == value]
-    return AlgElement._of_checked(a.graph, pairs)
+    # Distinct keys refine into distinct pieces, so none is listed twice.
+    return AlgElement._of_merged(a.graph, {
+        piece: coeff for key, coeff in a._keys.items()
+        for piece, piece_value in _cocycle_pieces(a.graph, f, key) if piece_value == value})
 
 
 def fn_to_json_obj(f: LocallyConstantFn):

@@ -36,6 +36,7 @@ from .paths import (
     is_s_minimal,
     lex_compare,
     path_range,
+    path_source,
 )
 from .scalars import ONE
 
@@ -86,8 +87,8 @@ def nest_projection(og: OrderedGraph, level, cutpos) -> AlgElement:
         raise OutOfRangeError(
             "cut %d outside 0..%d at level %d" % (cutpos, len(atoms), level)
         )
-    pairs = [(CKMono(p, p), ONE) for p in atoms[:cutpos]]
-    return AlgElement._of_checked(og.graph, pairs)
+    return AlgElement._of_merged(
+        og.graph, {(path_source(og, p), p.edges, p.edges): ONE for p in atoms[:cutpos]})
 
 
 def _head(og, p: FinPath, length) -> FinPath:
@@ -203,6 +204,6 @@ def commutator(a: AlgElement, b: AlgElement) -> AlgElement:
     """ab - ba: both products merged into one map and coarsened once."""
     _same_graph(a, b)
     merged = {}
-    _product_keys(a.graph, a.terms, b.terms, merged)
-    _product_keys(a.graph, (-b).terms, a.terms, merged)
-    return AlgElement._of_keys(a.graph, merged)
+    _product_keys(a.graph, a._keys, b._keys, merged)
+    _product_keys(a.graph, (-b)._keys, a._keys, merged)
+    return AlgElement._of_merged(a.graph, merged)

@@ -410,13 +410,23 @@ def in_cylinder(g, x: EvPath, alpha: FinPath) -> bool:
     return x.truncation(len(alpha)) == alpha.edges
 
 
+def _in_basic_set(g, point: GroupoidPoint, v, a, b) -> bool:
+    """Membership of (x,k,y) in the basic set of the edge words a and b with
+    common source v: x = a z and y = b z for one infinite path z into v."""
+    x, y = point.x, point.y
+    if point.k != len(a) - len(b) or x.truncation(len(a)) != a or y.truncation(len(b)) != b:
+        return False
+    if (not a and ev_range(g, x) != v) or (not b and ev_range(g, y) != v):
+        return False
+    return shift_n(x, len(a)) == shift_n(y, len(b))
+
+
 def point_in_Z(g, point: GroupoidPoint, alpha: FinPath, beta: FinPath) -> bool:
     """Membership of (x,k,y) in the basic set determined by (alpha, beta)."""
-    if point.k != len(alpha) - len(beta):
+    if alpha.is_empty and beta.is_empty and alpha.anchor != beta.anchor:
         return False
-    if not in_cylinder(g, point.x, alpha) or not in_cylinder(g, point.y, beta):
-        return False
-    return shift_n(point.x, len(alpha)) == shift_n(point.y, len(beta))
+    v = alpha.anchor if alpha.is_empty else beta.anchor
+    return _in_basic_set(g, point, v, alpha.edges, beta.edges)
 
 
 def finpath_to_json_obj(p: FinPath):

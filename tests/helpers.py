@@ -8,7 +8,9 @@ library's normal form.  The reference_* functions are the list-and-filter
 path enumerators and the full-scan nest oracle that the library's lazy walk
 (paths._walk) replaced; they share no enumeration code with it.
 reference_reconstruct_f is the sampled cocycle round trip that the
-library's check on depth-window pieces replaced.
+library's check on depth-window pieces replaced.  point_in, value_at and
+convolve read an element as a function on the path groupoid, with their
+own basic-set test, so they check the algebra without its key arithmetic.
 """
 
 import random
@@ -36,6 +38,8 @@ from ckcalc.paths import (
     paths_with_source,
     prepend,
     shift,
+    shift_n,
+    sim_k,
 )
 from ckcalc.scalars import ZERO, GaussianRational
 
@@ -295,3 +299,52 @@ def reference_reconstruct_f(g, f, max_prefix_len=None, max_cycle_len=None):
         if got != expected:
             failures.append((x, expected, got))
     return not failures, failures
+
+
+def random_tail(g, v, rng):
+    """A random eventually periodic infinite path with range v: random
+    in-edges until a vertex repeats, which closes the cycle."""
+    word, seen, cur = [], {v: 0}, v
+    while True:
+        e = rng.choice(g.in_edges(cur))
+        word.append(e.id)
+        cur = e.source
+        if cur in seen:
+            return EvPath(word[:seen[cur]], word[seen[cur]:])
+        seen[cur] = len(word)
+
+
+def point_in(g, mono, rng):
+    """A random eventually periodic point of the basic set Z(alpha, beta):
+    (alpha w, |alpha| - |beta|, beta w) for a random tail w into the source."""
+    g = underlying(g)
+    w = random_tail(g, path_source(g, mono.alpha), rng)
+    return GroupoidPoint(prepend(mono.alpha, w), mono.degree, prepend(mono.beta, w))
+
+
+def in_basic_set(g, point, mono):
+    """Whether point lies in Z(alpha, beta), read off the infinite words."""
+    a, b, x, y = mono.alpha, mono.beta, point.x, point.y
+    return (point.k == len(a) - len(b)
+            and x.truncation(len(a)) == a.edges and ev_range(g, x) == path_range(g, a)
+            and y.truncation(len(b)) == b.edges and ev_range(g, y) == path_range(g, b)
+            and shift_n(x, len(a)) == shift_n(y, len(b)))
+
+
+def value_at(a, point):
+    """The element as a groupoid function: the coefficients of the terms
+    whose basic sets hold the point, summed."""
+    return sum((c for m, c in a.terms.items() if in_basic_set(a.graph, point, m)), ZERO)
+
+
+def convolve(a, b, point):
+    """(a b)(x, k, y) as the groupoid convolution: the sum over the splits
+    (x, j, z)(z, k - j, y) of a(x, j, z) b(z, k - j, y).  a is nonzero at
+    (x, j, z) only inside a term's basic set, so z = beta S^|alpha| x and
+    j = |alpha| - |beta| for a term (alpha, beta) of a whose alpha starts x."""
+    g, x, k, y = a.graph, point.x, point.k, point.y
+    splits = {(prepend(m.beta, shift_n(x, len(m.alpha))), m.degree) for m in a.terms
+              if x.truncation(len(m.alpha)) == m.alpha.edges
+              and ev_range(g, x) == path_range(g, m.alpha)}
+    return sum((value_at(a, GroupoidPoint(x, j, z)) * value_at(b, GroupoidPoint(z, k - j, y))
+                for z, j in splits if sim_k(z, k - j, y)), ZERO)

@@ -438,6 +438,38 @@ def test_product_key_that_cancels_and_reappears(o2):
     assert (x * y).terms == _all_pairs_product(x, y).terms
 
 
+def test_arithmetic_refuses_an_operand_that_is_not_an_element(o2):
+    a = path_isometry(o2, fpath("a"))
+    calls = (
+        lambda: a + 2,
+        lambda: a - 2,
+        lambda: commutator(a, 2),
+        lambda: commutator(2, a),
+        lambda: a + support_spectrum(a),
+        lambda: bimodule_member(a, [2]),
+        lambda: bimodule_member(2, [a]),
+        lambda: generated_spectrum([2]),
+        lambda: generated_spectrum([a, 2]),
+    )
+    for call in calls:
+        with pytest.raises(BadInputError, match="expected two elements"):
+            call()
+    assert a * 2 == 2 * a == a.scale(2)
+
+
+def test_term_and_cylinder_views_are_snapshots(o2):
+    a = identity(o2) + path_isometry(o2, fpath("a"))
+    terms = a.terms
+    terms[CKMono(fpath("a"), empty_path("v"))] = GaussianRational(5)
+    terms[CKMono(fpath("b"), fpath("b"))] = GaussianRational(1)
+    assert a == identity(o2) + path_isometry(o2, fpath("a"))
+    assert a.terms == {CKMono(empty_path("v"), empty_path("v")): GaussianRational(1),
+                       CKMono(fpath("a"), empty_path("v")): GaussianRational(1)}
+    assert a.terms is not a.terms
+    s = support_spectrum(a)
+    assert s.cylinders == frozenset(a.terms) and s.cylinders is not s.cylinders
+
+
 def test_graph_with_a_source_is_rejected():
     # v has in-edges f (from v) and e (from the source w).  Refining below w
     # is impossible, so p_v + R_ff used to lose its R_e part and come out as

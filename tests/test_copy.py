@@ -70,6 +70,6 @@ def test_families_copy_without_rebuilding(o2, how, monkeypatch):
 
     for module in (bimodule, ckalg):
         monkeypatch.setattr(module, "check_mono", refuse)
-        monkeypatch.setattr(module, "_coarsest", refuse)
+        monkeypatch.setattr(module, "_coarsest_keys", refuse)
     assert ROUND_TRIPS[how](s).cylinders == s.cylinders
     assert ROUND_TRIPS[how](a).terms == a.terms

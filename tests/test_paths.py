@@ -344,6 +344,21 @@ def test_cylinders_and_tails(o2, e2):
     assert not point_in_Z(o2, point, fpath("b"), empty_path("v"))
 
 
+def test_point_in_Z_reads_the_vertex_of_empty_paths(bridge):
+    # x = h h h ... has range u; a unit point lies only in the set of p_u.
+    x = ev((), ("h",))
+    unit = GroupoidPoint(x, 0, x)
+    assert point_in_Z(bridge, unit, empty_path("u"), empty_path("u"))
+    assert not point_in_Z(bridge, unit, empty_path("v"), empty_path("v"))
+    assert not point_in_Z(bridge, unit, empty_path("u"), empty_path("v"))
+    assert not point_in_Z(bridge, unit, empty_path("v"), empty_path("u"))
+    # c h h ... lies in Z(c, p_u) but not in Z(c, p_v), the set of no monomial.
+    point = GroupoidPoint(prepend(fpath("c"), x), 1, x)
+    assert point_in_Z(bridge, point, fpath("c"), empty_path("u"))
+    assert not point_in_Z(bridge, point, fpath("c"), empty_path("v"))
+    assert not point_in_Z(bridge, GroupoidPoint(x, -1, point.x), empty_path("v"), fpath("c"))
+
+
 def test_parse_edge_word():
     assert parse_edge_word("a,b") == ("a", "b")
     assert parse_edge_word("") == ()
