@@ -15,7 +15,12 @@ per degree, the largest basic sets on which the function is a constant
 nonzero value.  They are disjoint, so evaluation is a coefficient sum, and
 equal elements have equal term maps.  R_{a^n} under p_v splits only the n
 sets on its path: n+1 terms, not 2^n.  normalize(a, beta_depth=d) gives an
-explicit refined listing instead.
+explicit refined listing instead.  Coarsening works on each tree alone: a
+key's stem, the key without its longest common alpha/beta suffix, is the
+root of its tree.  A key alone in its tree only climbs the parents it is
+the only child of; a tree of several keys reads the child lists the keys
+built climbing, and lists a child it lacks only under a node that is not
+constant.  The stored order follows the inputs, not string hashing.
 
 A product of monomials is nonzero only when the left beta and the right
 alpha are prefix-comparable, so the product looks up just those pairs:
@@ -137,8 +142,9 @@ def _refine(g, key, depth):
     """The basic set of key cut by every window w of the given length into
     its source: the keys (source of w, alpha w, beta w), in in-edge order."""
     src, a, b = key
+    edges = g.edge_by_id
     for w in _walk(g, src, depth):
-        yield g.source_of(w[-1]) if w else src, a + w, b + w
+        yield edges[w[-1]].source if w else src, a + w, b + w
 
 
 def _key(g, m: CKMono):
@@ -162,15 +168,6 @@ def _key_order(key):
     return _degree(key), len(b), b, "" if b else src, a
 
 
-def _ancestors(g, key):
-    """The basic sets strictly containing that of key, smallest first: the
-    truncations of alpha and beta by a common suffix."""
-    src, a, b = key
-    while a and b and a[-1] == b[-1]:
-        src, a, b = g.range_of(a[-1]), a[:-1], b[:-1]
-        yield src, a, b
-
-
 _ROUGH = object()  # the value of a node the function is not constant on
 
 
@@ -180,43 +177,90 @@ def _coarsest_keys(g, merged, add):
     nonzero value, but not constant on their parent set, keyed the same way
     (merged is only read).
 
-    The keys and their ancestors form a forest under refine_children; a
-    truncation by a common suffix keeps |alpha| - |beta|, so no tree mixes
-    degrees.  Going down, a node's total adds its parent's.  Going up, a
-    node is flat when its children are flat with one value, a child outside
-    the forest having its parent's total.  A rough node lists its flat
-    children.
+    The parent of a key with a common last edge e is the key cut by e; it
+    has one child per in-edge of its source.  Cutting keeps |alpha| - |beta|
+    and stops at the key's stem, which has no common last edge, so each
+    stem is the root of its own tree and keys with different stems never
+    interact.  A key alone in its tree is output as is, after climbing the
+    parents it is the only child of.  The keys of a shared tree go to
+    _forest.  The output follows the order in which merged first meets each
+    stem, so it does not depend on string hashing.
     """
-    if not any(a and b and a[-1] == b[-1] for _, a, b in merged):
-        # All roots: none nests in or merges with another.
-        return {key: v for key, v in merged.items() if v is not None}
-    own = {key: v for key, v in merged.items() if v is not None}
-    parent = {}
-    for node in own:
-        for up in _ancestors(g, node):
-            if node in parent:
-                break  # the rest of the chain is recorded
-            parent[node], node = up, up
-    inner = set(parent.values())
-    order = sorted(inner.union(own), key=lambda key: len(key[2]))
-    total = {}
-    for key in order:
-        t, v = total.get(parent.get(key)), own.get(key)
-        total[key] = v if t is None else t if v is None else add(t, v)
-    flat, out = {}, {}
-    for key in reversed(order):
-        if key not in inner:
-            flat[key] = total[key]
+    rng, ins = g._range, g._in_ids
+    trees = {}  # stem -> its one key, or the list of its keys
+    for key, v in merged.items():
+        if v is None:
             continue
-        kids = [(c, flat.get(c, _ROUGH) if c in total else total[key])
-                for c in _refine(g, key, 1)]
-        first = kids[0][1]
-        if first is not _ROUGH and all(v == first for _, v in kids):
-            flat[key] = first
+        _, a, b = key
+        if a and b and a[-1] == b[-1]:
+            d, n = 1, min(len(a), len(b))
+            while d < n and a[-d - 1] == b[-d - 1]:
+                d += 1
+            stem = rng[a[-d]], a[:-d], b[:-d]
         else:
-            out.update((c, v) for c, v in kids if v is not _ROUGH and v is not None)
-    out.update((key, v) for key, v in flat.items() if key not in parent and v is not None)
+            stem = key
+        seen = trees.setdefault(stem, key)
+        if seen is not key:
+            if type(seen) is list:
+                seen.append(key)
+            else:
+                trees[stem] = [seen, key]
+    out = {}
+    for stem, key in trees.items():
+        if type(key) is list:
+            _forest(g, stem, key, merged, add, out)
+            continue
+        src, a, b = key
+        while a and b and a[-1] == b[-1] and len(ins[rng[a[-1]]]) == 1:
+            src, a, b = rng[a[-1]], a[:-1], b[:-1]
+        out[src, a, b] = merged[key]
     return out
+
+
+def _forest(g, stem, keys, merged, add, out):
+    """Add to out the coarsest listing of the keys of the tree under stem.
+
+    Each key climbs to the first node already in the tree, and the nodes it
+    passes join top down, so every node follows its parent and records its
+    children in the order met.  Going down, a node's total adds its
+    parent's.  Going up, a node is flat when its children are flat with one
+    value, its value then replacing its total; a child the tree lacks has
+    its parent's total.  A rough node lists its flat children, the lacking
+    ones through _refine only when that total is nonzero.
+    """
+    rng, ins = g._range, g._in_ids
+    kids, val = {stem: []}, {stem: merged.get(stem)}
+    for node in keys:
+        chain = []
+        while node not in kids:
+            chain.append(node)
+            _, a, b = node
+            node = rng[a[-1]], a[:-1], b[:-1]
+        t = val[node]
+        for c in reversed(chain):
+            kids[node].append(c)
+            kids[c], v = [], merged.get(c)
+            t = val[c] = v if t is None else t if v is None else add(t, v)
+            node = c
+    for node in reversed(kids):
+        cs = kids[node]
+        if not cs:
+            continue  # a leaf is flat at its total
+        t, first = val[node], val[cs[0]]
+        lacking = len(cs) < len(ins[node[0]])
+        if (first is not _ROUGH and (not lacking or first == t)
+                and all(val[c] == first for c in cs)):
+            val[node] = first
+            continue
+        val[node] = _ROUGH
+        for c in cs:
+            v = val[c]
+            if v is not _ROUGH and v is not None:
+                out[c] = v
+        if lacking and t is not None:
+            out.update((c, t) for c in _refine(g, node, 1) if c not in kids)
+    if val[stem] is not _ROUGH and val[stem] is not None:
+        out[stem] = val[stem]
 
 
 def _product_keys(g, left, right, merged):
@@ -229,15 +273,15 @@ def _product_keys(g, left, right, merged):
     b1 is a prefix of a2, and (s1, a1, b2 + b1[len(a2):]) when a2 is a
     proper prefix of b1.
     """
-    exact, extending = {}, {}
+    rng, exact, extending = g._range, {}, {}
     for (s2, a2, b2), c2 in right.items():
-        v = g.range_of(a2[0]) if a2 else s2
+        v = rng[a2[0]] if a2 else s2
         exact.setdefault((v, a2), []).append((b2, c2))
         for i in range(len(a2)):
             extending.setdefault((v, a2[:i]), []).append((s2, a2, b2, c2))
     for (s1, a1, b1), c1 in left.items():
         n = len(b1)
-        v = g.range_of(b1[0]) if b1 else s1
+        v = rng[b1[0]] if b1 else s1
         hits = [((s2, a1 + a2[n:], b2), c2) for s2, a2, b2, c2 in extending.get((v, b1), ())]
         for i in range(n + 1):
             hits += [((s1, a1, b2 + b1[i:]), c2) for b2, c2 in exact.get((v, b1[:i]), ())]

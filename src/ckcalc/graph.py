@@ -57,6 +57,10 @@ class Graph:
         # Tuples built once: the path walks ask for them at every step.
         self._in = {v: tuple(es) for v, es in ins.items()}
         self._out = {v: tuple(es) for v, es in outs.items()}
+        # Plain-id tables for the inner loops, which read only checked ids:
+        # (in-edge id, its source) per vertex, and edge id -> range.
+        self._in_ids = {v: tuple((e.id, e.source) for e in es) for v, es in ins.items()}
+        self._range = {e.id: e.range for e in self.edges}
         # Vertices that are the range of no edge, which the algebra excludes.
         self.sources = tuple(sorted(v for v in self.vertices if not self._in[v]))
         # Set here, not on first use: on CPython 3.11 an attribute added after

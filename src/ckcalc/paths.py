@@ -334,18 +334,19 @@ def _walk(g, v, length):
     if length == 0:
         yield ()
         return
-    word, frames = [], [iter(g.in_edges(v))]
+    ins = g._in_ids
+    word, frames = [], [iter(ins[v])]
     while frames:
-        e = next(frames[-1], None)
-        if e is None:
+        step = next(frames[-1], None)
+        if step is None:
             frames.pop()
             if word:
                 word.pop()
         elif len(frames) == length:
-            yield (*word, e.id)
+            yield (*word, step[0])
         else:
-            word.append(e.id)
-            frames.append(iter(g.in_edges(e.source)))
+            word.append(step[0])
+            frames.append(iter(ins[step[1]]))
 
 
 def continuations(g, v, length):

@@ -9,9 +9,10 @@ which read the public term maps with their own basic-set test.
 
 import pytest
 
-from ckcalc.ckalg import adjoint, evaluate, normalize, support_spectrum
+from ckcalc.ckalg import adjoint, evaluate, gauge, normalize, phi_m, support_spectrum
 from ckcalc.nest import commutator
 from ckcalc.paths import inverse
+from ckcalc.scalars import ZERO, GaussianRational
 
 from helpers import (
     convolve,
@@ -24,6 +25,10 @@ from helpers import (
 )
 
 GRAPHS = 30
+
+# i**t for t mod 4, written out rather than read from the scalar layer.
+I_POWERS = [GaussianRational(1), GaussianRational(0, 1), GaussianRational(-1),
+            GaussianRational(0, -1)]
 
 
 def cases(seed):
@@ -79,3 +84,22 @@ def test_support_spectrum_covers_the_nonzero_points():
         for p in points(rng, a, b, x):
             covered = any(in_basic_set(x.graph, p, c) for c in spectrum.cylinders)
             assert covered == (not value_at(x, p).is_zero())
+
+
+def test_gauge_rotates_each_point_by_its_degree():
+    for a, _, rng in cases(77):
+        for n, j in ((1, 3), (2, 1), (4, 1), (4, -3), (4, 6)):
+            rotated = gauge(a, n, j)
+            for p in points(rng, a, rotated, per_term=1):
+                want = value_at(a, p) * I_POWERS[(4 // n) * j * p.k % 4]
+                assert evaluate(rotated, p) == value_at(rotated, p) == want
+
+
+def test_graded_part_restricts_to_one_degree():
+    for a, b, rng in cases(78):
+        x = a + b * a
+        parts = {m: phi_m(x, m) for m in range(-3, 4)}
+        for p in points(rng, x, *parts.values()):
+            for m, part in parts.items():
+                want = value_at(x, p) if p.k == m else ZERO
+                assert evaluate(part, p) == value_at(part, p) == want
