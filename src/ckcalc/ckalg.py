@@ -5,8 +5,8 @@ finite paths with a common source, with exact Gaussian-rational
 coefficients, read as a function on the groupoid: the sum of coefficient
 times the indicator of the basic set Z(alpha, beta).  Within one degree
 these sets are disjoint or nested, and they form a forest under the child
-expansion (refine_children) that replaces (alpha, beta) by its one-edge
-extensions (alpha e, beta e) over the in-edges of the common source.
+expansion that replaces (alpha, beta) by its one-edge extensions
+(alpha e, beta e) over the in-edges of the common source.
 Every operation reads and writes plain keys (common source, alpha edges,
 beta edges); .terms and monomials() build CKMono views on each read.
 
@@ -28,6 +28,10 @@ each path is keyed by (range, edges), with an empty path at v a prefix of
 every path of range v, and the right factor's terms are indexed by the key
 of alpha and by every proper prefix of it.  A commutator merges both of
 its products into one map and coarsens it once.
+
+evaluate reads a point (x, k, y) once, as n0, the least n >= max(k, 0) with
+S^n x = S^(n-k) y, and one truncation each of x and y; it sums the terms
+of degree k with |alpha| >= n0 whose alpha and beta start the truncations.
 
 Element equality is semantic: a == b iff a - b normalizes to zero.
 """
@@ -53,12 +57,13 @@ from .graph import (
 from .paths import (
     FinPath,
     GroupoidPoint,
-    _in_basic_set,
+    _agree_from,
     _path,
     _walk,
     check_evpath,
     check_finpath,
     empty_path,
+    ev_range,
     join_paths,
     path_range,
     path_source,
@@ -507,6 +512,8 @@ def adjoint(a):
 
 def phi_m(a: AlgElement, m) -> AlgElement:
     """Degree-m graded part."""
+    if not isinstance(m, int):
+        raise BadInputError("degree must be an integer, not %r" % (m,))
     return AlgElement._trusted(
         a.graph, {key: c for key, c in a._keys.items() if _degree(key) == m}
     )
@@ -530,13 +537,18 @@ def gauge(a: AlgElement, n, j) -> AlgElement:
 
 def evaluate(a: AlgElement, point: GroupoidPoint) -> GaussianRational:
     """Exact value of the element, as a groupoid function, at the point."""
-    check_evpath(a.graph, point.x)
-    check_evpath(a.graph, point.y)
-    total = ZERO
-    for key, c in a._keys.items():
-        if _in_basic_set(a.graph, point, *key):
-            total = total + c
-    return total
+    g, x, k, y = a.graph, point.x, point.k, point.y
+    check_evpath(g, x)
+    check_evpath(g, y)
+    terms = [(v, al, be, c) for (v, al, be), c in a._keys.items() if len(al) - len(be) == k]
+    if not terms:
+        return ZERO
+    n0 = _agree_from(x, k, y)
+    n = max(len(al) for _, al, _, _ in terms)
+    xt, yt = x.truncation(n), y.truncation(n - k)
+    return sum((c for v, al, be, c in terms if len(al) >= n0 and xt[:len(al)] == al
+                and yt[:len(be)] == be and (al or v == ev_range(g, x))
+                and (be or v == ev_range(g, y))), ZERO)
 
 
 def support_spectrum(a: AlgElement):

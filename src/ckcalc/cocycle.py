@@ -30,6 +30,7 @@ from .paths import (
     EvPath,
     FinPath,
     GroupoidPoint,
+    _agree_from,
     _walk,
     check_finpath,
     empty_path,
@@ -154,7 +155,7 @@ def eval_cocycle(f: LocallyConstantFn, point: GroupoidPoint) -> Fraction:
     From index stop on, x and y agree k steps apart, so the tail vanishes.
     """
     x, k, y = point.x, point.k, point.y
-    stop = max(len(x.prefix), len(y.prefix) + k, k, 0)
+    stop = _agree_from(x, k, y)
     return _telescope(
         f, x.truncation(stop + f.depth), y.truncation(stop - k + f.depth), k, stop
     )

@@ -189,7 +189,10 @@ class EvPath:
         return self.cycle[(i - len(self.prefix) - 1) % len(self.cycle)]
 
     def truncation(self, n) -> tuple:
-        return tuple(self.edge_at(i) for i in range(1, n + 1))
+        """The first n edges (none for n <= 0), sliced from enough cycles."""
+        if n <= 0:
+            return ()
+        return (self.prefix + self.cycle * (n // len(self.cycle) + 1))[:n]
 
 
 def ev(prefix, cycle) -> EvPath:
@@ -266,6 +269,15 @@ def sim_k(x: EvPath, k, y: EvPath) -> bool:
     return all(x.edge_at(i + k) == y.edge_at(i) for i in range(n0, n0 + span))
 
 
+def _agree_from(x: EvPath, k, y: EvPath):
+    """The least n >= max(k, 0) with S^n x == S^(n-k) y, for x ~k y: walk
+    back from past both prefixes while the edges before n agree."""
+    n, low = max(k, 0, len(x.prefix), len(y.prefix) + k), max(k, 0)
+    while n > low and x.edge_at(n) == y.edge_at(n - k):
+        n -= 1
+    return n
+
+
 @dataclass(frozen=True)
 class GroupoidPoint:
     x: EvPath
@@ -314,12 +326,8 @@ def lex_compare(x, y, og: OrderedGraph) -> int:
             return (a > b) - (a < b)
         pairs = zip(x.edges, y.edges)
     elif isinstance(x, EvPath) and isinstance(y, EvPath):
-        bound = (
-            len(x.prefix)
-            + len(y.prefix)
-            + math.lcm(len(x.cycle), len(y.cycle))
-        )
-        pairs = ((x.edge_at(i), y.edge_at(i)) for i in range(1, bound + 1))
+        bound = len(x.prefix) + len(y.prefix) + math.lcm(len(x.cycle), len(y.cycle))
+        pairs = zip(x.truncation(bound), y.truncation(bound))
     else:
         raise BadInputError("lex compare needs two paths of the same kind")
     for a, b in pairs:
@@ -349,13 +357,21 @@ def _walk(g, v, length):
             frames.append(iter(ins[step[1]]))
 
 
+def _check_length(length):
+    """Refuse a length that _walk's depth would never equal."""
+    if not isinstance(length, int) or length < 0:
+        raise BadInputError("path length must be a nonnegative integer, not %r" % (length,))
+
+
 def continuations(g, v, length):
     """All paths of the given length whose range is v, in edge-list order."""
+    _check_length(length)
     return [_path(w, v) for w in _walk(g, v, length)]
 
 
 def all_finpaths(g, length):
     """All paths of the given length, grouped by range vertex in vertex order."""
+    _check_length(length)
     return [p for v in sorted(g.vertices) for p in continuations(g, v, length)]
 
 
@@ -411,23 +427,14 @@ def in_cylinder(g, x: EvPath, alpha: FinPath) -> bool:
     return x.truncation(len(alpha)) == alpha.edges
 
 
-def _in_basic_set(g, point: GroupoidPoint, v, a, b) -> bool:
-    """Membership of (x,k,y) in the basic set of the edge words a and b with
-    common source v: x = a z and y = b z for one infinite path z into v."""
-    x, y = point.x, point.y
-    if point.k != len(a) - len(b) or x.truncation(len(a)) != a or y.truncation(len(b)) != b:
-        return False
-    if (not a and ev_range(g, x) != v) or (not b and ev_range(g, y) != v):
-        return False
-    return shift_n(x, len(a)) == shift_n(y, len(b))
-
-
 def point_in_Z(g, point: GroupoidPoint, alpha: FinPath, beta: FinPath) -> bool:
     """Membership of (x,k,y) in the basic set determined by (alpha, beta)."""
-    if alpha.is_empty and beta.is_empty and alpha.anchor != beta.anchor:
+    x, y, a, b = point.x, point.y, alpha.edges, beta.edges
+    if point.k != len(a) - len(b) or x.truncation(len(a)) != a or y.truncation(len(b)) != b:
         return False
-    v = alpha.anchor if alpha.is_empty else beta.anchor
-    return _in_basic_set(g, point, v, alpha.edges, beta.edges)
+    if (not a and ev_range(g, x) != alpha.anchor) or (not b and ev_range(g, y) != beta.anchor):
+        return False
+    return len(a) >= _agree_from(x, point.k, y)
 
 
 def finpath_to_json_obj(p: FinPath):

@@ -221,6 +221,15 @@ def test_phi_partition(o2):
     assert phi_m(s(o2, "a"), 0).is_zero()
 
 
+def test_phi_m_refuses_a_non_integer_degree(o2):
+    a = s(o2, "a")
+    for m in (0.5, 1.0, Fraction(1, 2), "1", None):
+        with pytest.raises(BadInputError, match="integer") as err:
+            phi_m(a, m)
+        assert err.value.code == "bad_input"
+    assert phi_m(a, 1) == a
+
+
 def test_gauge_rotation(o2):
     a = s(o2, "a")
     assert gauge(a, 4, 1) == a.scale(GaussianRational(0, 1))

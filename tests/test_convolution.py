@@ -4,14 +4,35 @@ An element is a function on the path groupoid, and the product is the
 groupoid convolution.  Each identity below is checked at points drawn from
 the basic sets of the operands' and the results' terms, on seeded random
 graphs without sources, against helpers.value_at and helpers.convolve,
-which read the public term maps with their own basic-set test.
+which read the public term maps with their own basic-set test.  The
+evaluate tests reach the cases its single read of the point must get right:
+refined listings, isotropy points, prefixes longer than every term, and
+terms with an empty path, whose vertex the point's range must match.
 """
 
 import pytest
 
-from ckcalc.ckalg import adjoint, evaluate, gauge, normalize, phi_m, support_spectrum
+from ckcalc.ckalg import (
+    AlgElement,
+    CKMono,
+    adjoint,
+    evaluate,
+    gauge,
+    normalize,
+    phi_m,
+    support_spectrum,
+)
 from ckcalc.nest import commutator
-from ckcalc.paths import inverse
+from ckcalc.paths import (
+    EvPath,
+    FinPath,
+    GroupoidPoint,
+    _path,
+    inverse,
+    join_paths,
+    path_source,
+    prepend,
+)
 from ckcalc.scalars import ZERO, GaussianRational
 
 from helpers import (
@@ -19,8 +40,10 @@ from helpers import (
     in_basic_set,
     make_rng,
     point_in,
+    rand_coeff,
     rand_element,
     random_graph,
+    random_tail,
     value_at,
 )
 
@@ -103,3 +126,83 @@ def test_graded_part_restricts_to_one_degree():
             for m, part in parts.items():
                 want = value_at(x, p) if p.k == m else ZERO
                 assert evaluate(part, p) == value_at(part, p) == want
+
+
+def graphs(seed, min_vertices=1):
+    """GRAPHS random graphs without sources, with at least min_vertices."""
+    rng = make_rng(seed)
+    count = 0
+    while count < GRAPHS:
+        g = random_graph(rng, max_vertices=3, max_in=2, sources=False)
+        if len(g.vertices) >= min_vertices:
+            count += 1
+            yield g, rng
+
+
+def test_evaluate_is_the_term_scan_on_refined_listings():
+    for g, rng in graphs(79):
+        a = rand_element(g, rng, max_len=2)
+        listings = [a] + [normalize(a, beta_depth=d) for d in range(3)]
+        for p in points(rng, *listings, per_term=1):
+            for x in listings:
+                assert evaluate(x, p) == value_at(x, p) == value_at(a, p)
+
+
+def test_evaluate_at_isotropy_points():
+    # Terms (c^j w, w) and (w, c^j w) for the prefixes w of z = c c c ...
+    # hold (z, j|c|, z) and (z, -j|c|, z); the range check meets the empty w.
+    for g, rng in graphs(80):
+        z = EvPath((), random_tail(g, rng.choice(g.vertices), rng).cycle)
+        n = len(z.cycle)
+        terms = []
+        for j in (1, 2):
+            for m in range(n + 2):
+                src = g.source_of(z.edge_at(m + j * n))
+                long, short = FinPath(z.truncation(m + j * n)), _path(z.truncation(m), src)
+                terms += [(CKMono(long, short), rand_coeff(rng)),
+                          (CKMono(short, long), rand_coeff(rng))]
+        a = AlgElement(g, terms) + rand_element(g, rng, max_len=2)
+        for x in (a, normalize(a, beta_depth=1)):
+            for j in (1, 2, 3):
+                for p in (GroupoidPoint(z, j * n, z), GroupoidPoint(z, -j * n, z)):
+                    assert evaluate(x, p) == value_at(x, p)
+
+
+def test_evaluate_walks_back_from_long_prefixes():
+    # (alpha c w, |alpha| - |beta|, beta c w) with c longer than every term:
+    # both prefixes pass every term, and the tails agree from |alpha| on.
+    for g, rng in graphs(81):
+        a = rand_element(g, rng, max_len=2)
+        for m in a.terms:
+            c = FinPath(random_tail(g, path_source(g, m.alpha), rng).truncation(rng.randint(3, 5)))
+            w = random_tail(g, g.source_of(c.edges[-1]), rng)
+            p = GroupoidPoint(prepend(join_paths(m.alpha, c), w), m.degree,
+                              prepend(join_paths(m.beta, c), w))
+            assert in_basic_set(g, p, m)
+            assert evaluate(a, p) == value_at(a, p)
+
+
+def test_evaluate_matches_the_vertex_of_empty_paths():
+    # Each p_v with its own coefficient: at (x, 0, x) only the range of x counts.
+    for g, rng in graphs(82, min_vertices=2):
+        weight = {v: GaussianRational(i + 1) for i, v in enumerate(g.vertices)}
+        weights = AlgElement(g, [(CKMono(_path((), v), _path((), v)), c)
+                                 for v, c in weight.items()])
+        a = weights + rand_element(g, rng, max_len=2)
+        for v in g.vertices:
+            x = random_tail(g, v, rng)
+            p = GroupoidPoint(x, 0, x)
+            assert evaluate(weights, p) == weight[v]
+            assert evaluate(a, p) == value_at(a, p)
+        for p in points(rng, a):
+            assert evaluate(a, p) == value_at(a, p)
+
+
+def test_evaluate_sums_every_term_of_a_nested_listing():
+    # A listing kept as is (as a pickle keeps one) may nest basic sets; each
+    # term that holds the point counts, not only the first one met.
+    for g, rng in graphs(83):
+        a = rand_element(g, rng, max_len=1)
+        nested = AlgElement._trusted(g, {**a._keys, **normalize(a, beta_depth=2)._keys})
+        for p in points(rng, a, per_term=3):
+            assert evaluate(nested, p) == value_at(nested, p) == value_at(a, p) * 2

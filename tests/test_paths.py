@@ -95,6 +95,23 @@ def test_lazy_continuations_follow_the_listing(g, length):
         assert list(_walk(g, v, length)) == words
 
 
+def test_path_views_refuse_a_bad_length_before_walking(o2, monkeypatch):
+    # Unrefused, a length the walk's depth never equals descends forever.
+    def no_walk(*args):
+        raise AssertionError("walked with length %r" % (args[-1],))
+
+    monkeypatch.setattr("ckcalc.paths._walk", no_walk)
+    for length in (1.5, -1, 2.0, "1", None):
+        for call in (lambda: all_finpaths(o2, length),
+                     lambda: continuations(o2, "v", length),
+                     lambda: paths_with_source(o2, "v", length)):
+            with pytest.raises(BadInputError, match="nonnegative integer") as err:
+                call()
+            assert err.value.code == "bad_input"
+    monkeypatch.undo()
+    assert len(all_finpaths(o2, 2)) == len(continuations(o2, "v", 2)) == 4
+
+
 def test_enumerators_match_the_listing_references():
     rng = make_rng(12)
     graphs = [random_graph(rng) for _ in range(60)]
@@ -157,6 +174,13 @@ def test_edge_at_and_truncation():
     assert x.truncation(4) == ("a", "b", "a", "b")
     with pytest.raises(BadInputError):
         x.edge_at(0)
+
+
+@given(WORDS, CYCLES)
+def test_truncation_lists_the_edges(prefix, cycle):
+    x = EvPath(prefix, cycle)
+    for n in range(-1, len(x.prefix) + 3 * len(x.cycle) + 1):
+        assert x.truncation(n) == tuple(x.edge_at(i) for i in range(1, n + 1))
 
 
 def test_shift_family():
