@@ -47,6 +47,7 @@ from .errors import (
     SearchFailureError,
     UnsupportedNormError,
     UnsupportedRootError,
+    _int_arg,
 )
 from .graph import (
     _require_no_sources,
@@ -478,22 +479,12 @@ def diagonal_element(g, weighted_paths) -> AlgElement:
     return AlgElement(g, [(CKMono(p, p), c) for p, c in weighted_paths])
 
 
-def mul_mono(g, m1: CKMono, m2: CKMono) -> AlgElement:
-    check_mono(g, m1)
-    check_mono(g, m2)
-    p = mono_product(g, m1, m2)
-    return zero(g) if p is None else mono_element(g, p)
-
-
 def normalize(a: AlgElement, beta_depth=None) -> AlgElement:
     """The canonical form, or with beta_depth=d a refined listing: each
     degree's coarse terms refined to beta length max(d, the longest beta
     among them).  The listing is the same element, not a canonical form."""
     if beta_depth is not None:
-        if not isinstance(beta_depth, int):
-            raise BadInputError("beta depth must be an integer, not %r" % (beta_depth,))
-        if beta_depth < 0:
-            raise BadInputError("beta depth must be nonnegative")
+        _int_arg("beta depth", beta_depth, nonnegative=True)
     canonical = AlgElement._canonical(a.graph, a._keys)
     if beta_depth is None:
         return AlgElement._trusted(a.graph, canonical)
@@ -512,8 +503,7 @@ def adjoint(a):
 
 def phi_m(a: AlgElement, m) -> AlgElement:
     """Degree-m graded part."""
-    if not isinstance(m, int):
-        raise BadInputError("degree must be an integer, not %r" % (m,))
+    _int_arg("degree", m)
     return AlgElement._trusted(
         a.graph, {key: c for key, c in a._keys.items() if _degree(key) == m}
     )
@@ -526,12 +516,10 @@ def gauge(a: AlgElement, n, j) -> AlgElement:
     """
     if n not in (1, 2, 4):
         raise UnsupportedRootError("rotation order %r has no exact representation" % n)
-    if not isinstance(j, int):
-        raise BadInputError("rotation power must be an integer, not %r" % (j,))
-    step = 4 // n
+    step = 4 // n * _int_arg("rotation power", j)
     return AlgElement._trusted(
         a.graph,
-        {key: c.times_i_power(step * j * _degree(key)) for key, c in a._keys.items()},
+        {key: c.times_i_power(step * _degree(key)) for key, c in a._keys.items()},
     )
 
 
@@ -626,7 +614,7 @@ def separating_projections(g, e: CKMono, k) -> SeparatingProjections:
     check_mono(g, e)
     if len(e.alpha) != len(e.beta):
         raise PreconditionError("separating projections need equal path lengths")
-    if k < 1:
+    if _int_arg("level k", k) < 1:
         raise PreconditionError("level k must be at least 1")
     src = mono_source(g, e)
     cap = k + len(g.vertices) + len(g.edges) + 2
@@ -661,9 +649,9 @@ def af_compression_projections(g, e: CKMono, k):
 
 def check_proj_afpart(a: AlgElement, e: CKMono, k) -> bool:
     """Verify q a p == q phi_0(a) p for the chained projection pair."""
-    for _, al, be in a._keys:
-        if len(al) > k or len(be) > k:
-            raise PreconditionError("element exceeds the stated path-length bound")
+    _int_arg("level k", k)
+    if any(len(al) > k or len(be) > k for _, al, be in a._keys):
+        raise PreconditionError("element exceeds the stated path-length bound")
     p_mono, q_mono = af_compression_projections(a.graph, e, k)
     p = mono_element(a.graph, p_mono)
     q = mono_element(a.graph, q_mono)

@@ -20,10 +20,10 @@ from .ckalg import AlgElement, _refine
 from .errors import (
     BadInputError,
     InvalidFunctionError,
-    InvalidPointError,
     NotEqualizableError,
     PreconditionError,
     WindowTooShortError,
+    _int_arg,
 )
 from .graph import _require_no_sources, strings_from_json_obj
 from .paths import (
@@ -46,10 +46,7 @@ class LocallyConstantFn:
     __slots__ = ("depth", "table")
 
     def __init__(self, depth, table):
-        if not isinstance(depth, int):
-            raise BadInputError("depth must be an integer, not %r" % (depth,))
-        if depth < 0:
-            raise BadInputError("depth must be nonnegative")
+        _int_arg("depth", depth, nonnegative=True)
         clean = {}
         for word, value in dict(table).items():
             word = tuple(word)
@@ -87,7 +84,7 @@ class LocallyConstantFn:
         key = word[: self.depth]
         try:
             return self.table[key]
-        except KeyError:
+        except (KeyError, TypeError):  # TypeError: an unhashable edge id
             raise InvalidFunctionError("no table entry for %r" % (key,)) from None
 
     def value_on(self, x: EvPath) -> Fraction:
@@ -195,7 +192,7 @@ def loop_growth(f: LocallyConstantFn, x: EvPath, period) -> LoopGrowthReport:
     """
     if x.prefix:
         raise PreconditionError("loop growth needs a purely periodic path")
-    if period < 1 or period % len(x.cycle) != 0:
+    if _int_arg("period", period) < 1 or period % len(x.cycle) != 0:
         raise PreconditionError(
             "period must be a positive multiple of the primitive cycle length"
         )
@@ -283,7 +280,7 @@ def integer_obstruction_witness(g, alpha: FinPath, beta: FinPath, ell) -> Obstru
     N = ell * k where k is the common loop length after equalization; the
     witness is x = a^ell a b a^ell b^inf against y = a^ell b a a^ell b^inf.
     """
-    if ell < 2:
+    if _int_arg("multiplicity ell", ell) < 2:
         raise PreconditionError("multiplicity ell must be at least 2")
     alpha, beta = equalize_loops(g, alpha, beta)
     if not (set(beta.edges) - set(alpha.edges)):
@@ -295,15 +292,6 @@ def integer_obstruction_witness(g, alpha: FinPath, beta: FinPath, ell) -> Obstru
     return ObstructionWitness(
         x=x, y=y, window=ell * k, loop_alpha=alpha, loop_beta=beta
     )
-
-
-def truncation_telescope_sum(f: LocallyConstantFn, x: EvPath, y: EvPath) -> Fraction:
-    """Sum of f(S^n x) - f(S^n y) over n >= 0, exact once the shifts merge."""
-    try:
-        point = GroupoidPoint(x, 0, y)
-    except InvalidPointError:
-        raise PreconditionError("paths never merge; the sum does not terminate") from None
-    return eval_cocycle(f, point)
 
 
 @dataclass(frozen=True)

@@ -97,3 +97,13 @@ class PreconditionError(CkError):
     """Operation called outside its documented domain."""
 
     code = "precondition_violation"
+
+
+def _int_arg(name, value, nonnegative=False):
+    """value, if it is an int (a bool counts) and, when asked, not negative;
+    otherwise BadInputError naming the parameter.  The public functions
+    check their integer arguments with it."""
+    if not isinstance(value, int) or nonnegative and value < 0:
+        kind = "a nonnegative integer" if nonnegative else "an integer"
+        raise BadInputError("%s must be %s, not %r" % (name, kind, value))
+    return value

@@ -85,7 +85,7 @@ class Graph:
     def edge(self, edge_id) -> Edge:
         try:
             return self.edge_by_id[edge_id]
-        except KeyError:
+        except (KeyError, TypeError):  # TypeError: an unhashable id
             raise InvalidGraphError("unknown edge id %r" % (edge_id,)) from None
 
     def range_of(self, edge_id):
@@ -134,7 +134,7 @@ class OrderedGraph(Graph):
     def pos(self, edge_id):
         try:
             return self.position[edge_id]
-        except KeyError:
+        except (KeyError, TypeError):  # TypeError: an unhashable id
             raise InvalidGraphError("unknown edge id %r" % (edge_id,)) from None
 
     def vertex_pos(self, v):

@@ -22,7 +22,7 @@ from .ckalg import (
     mono_source,
     path_tail_of,
 )
-from .errors import BadInputError, OutOfRangeError, PreconditionError
+from .errors import OutOfRangeError, PreconditionError, _int_arg
 from .graph import OrderedGraph, _require_no_sources, _require_order
 from .paths import (
     FinPath,
@@ -53,11 +53,7 @@ def _check_nest_graph(og):
 def level_atoms(og: OrderedGraph, level):
     """All length-`level` paths, smallest first in the level order."""
     _check_nest_graph(og)
-    if not isinstance(level, int):
-        raise BadInputError("level must be an integer, not %r" % (level,))
-    if level < 0:
-        raise BadInputError("level must be nonnegative")
-    atoms = all_finpaths(og, level)
+    atoms = all_finpaths(og, _int_arg("level", level, nonnegative=True))
     atoms.sort(key=lambda p: _level_key(og, p.edges, p.anchor))
     return atoms
 
@@ -83,7 +79,7 @@ def _atom_place(og: OrderedGraph, atom: FinPath):
 def nest_projection(og: OrderedGraph, level, cutpos) -> AlgElement:
     """Diagonal projection summing the first cutpos atoms of one level."""
     atoms = level_atoms(og, level)
-    if not 0 <= cutpos <= len(atoms):
+    if not 0 <= _int_arg("cut", cutpos) <= len(atoms):
         raise OutOfRangeError(
             "cut %d outside 0..%d at level %d" % (cutpos, len(atoms), level)
         )
@@ -145,8 +141,8 @@ def in_alg_n_oracle(og: OrderedGraph, m: CKMono, level_bound=None):
     check_mono(og, m)
     if level_bound is None:
         level_bound = default_level_bound(og, m)
-    elif level_bound < 0:
-        raise BadInputError("level bound must be nonnegative")
+    else:
+        _int_arg("level bound", level_bound, nonnegative=True)
     src = mono_source(og, m)
     ra = path_range(og, m.alpha)
     rb = path_range(og, m.beta)

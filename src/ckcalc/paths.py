@@ -24,6 +24,7 @@ from .errors import (
     InvalidPointError,
     LengthMismatchError,
     NotComposableError,
+    _int_arg,
 )
 from .graph import OrderedGraph, _require_no_sources, _require_order, strings_from_json_obj
 
@@ -99,7 +100,11 @@ def _check_chain(g, word):
     An unknown edge is reported before a break in the chain.  Each edge is
     one dict lookup: evaluate and the nest spectrum check every point."""
     edges = g.edge_by_id
-    if not edges.keys() >= set(word):
+    try:
+        known = edges.keys() >= set(word)
+    except TypeError:  # an unhashable id, which g.edge reports
+        known = False
+    if not known:
         for eid in word:
             g.edge(eid)  # raises at the first unknown id
     prev = None
@@ -134,15 +139,6 @@ def concat(g, a: FinPath, b: FinPath) -> FinPath:
             % (path_source(g, a), path_range(g, b))
         )
     return join_paths(a, b)
-
-
-def append_edge(g, p: FinPath, edge_id) -> FinPath:
-    e = g.edge(edge_id)
-    if e.range != path_source(g, p):
-        raise ComposeMismatchError(
-            "edge %r does not continue path at %r" % (edge_id, path_source(g, p))
-        )
-    return FinPath(p.edges + (edge_id,))
 
 
 class EvPath:
@@ -215,9 +211,7 @@ def shift(x: EvPath) -> EvPath:
 
 
 def shift_n(x: EvPath, n) -> EvPath:
-    if n < 0:
-        raise BadInputError("cannot shift by a negative amount")
-    if n <= len(x.prefix):
+    if _int_arg("shift", n, nonnegative=True) <= len(x.prefix):
         return EvPath(x.prefix[n:], x.cycle)
     m = (n - len(x.prefix)) % len(x.cycle)
     return EvPath((), x.cycle[m:] + x.cycle[:m])
@@ -285,7 +279,7 @@ class GroupoidPoint:
     y: EvPath
 
     def __post_init__(self):
-        if not sim_k(self.x, self.k, self.y):
+        if not sim_k(self.x, _int_arg("degree k", self.k), self.y):
             raise InvalidPointError(
                 "paths are not shift-equivalent at degree %d" % self.k
             )
@@ -357,32 +351,22 @@ def _walk(g, v, length):
             frames.append(iter(ins[step[1]]))
 
 
-def _check_length(length):
-    """Refuse a length that _walk's depth would never equal."""
-    if not isinstance(length, int) or length < 0:
-        raise BadInputError("path length must be a nonnegative integer, not %r" % (length,))
-
-
 def continuations(g, v, length):
     """All paths of the given length whose range is v, in edge-list order."""
-    _check_length(length)
+    _int_arg("path length", length, nonnegative=True)  # else _walk never stops
     return [_path(w, v) for w in _walk(g, v, length)]
 
 
 def all_finpaths(g, length):
     """All paths of the given length, grouped by range vertex in vertex order."""
-    _check_length(length)
+    _int_arg("path length", length, nonnegative=True)
     return [p for v in sorted(g.vertices) for p in continuations(g, v, length)]
-
-
-def paths_with_source(g, v, length):
-    return [p for p in all_finpaths(g, length) if path_source(g, p) == v]
 
 
 def primitive_loops(g, max_len):
     """All primitive loops (range == source, not a proper power), length <= max_len."""
-    return [FinPath(w) for n in range(1, max_len + 1) for v in sorted(g.vertices)
-            for w in _walk(g, v, n)
+    return [FinPath(w) for n in range(1, _int_arg("loop length bound", max_len) + 1)
+            for v in sorted(g.vertices) for w in _walk(g, v, n)
             if g.source_of(w[-1]) == v and len(_primitive_root(w)) == n]
 
 
@@ -394,30 +378,12 @@ def enumerate_evpaths(g, max_prefix_len, max_cycle_len):
     for loop in primitive_loops(g, max_cycle_len):
         loops.setdefault(g.range_of(loop.edges[0]), []).append(loop.edges)
     out = set()
-    for plen in range(max_prefix_len + 1):
+    for plen in range(_int_arg("prefix length bound", max_prefix_len) + 1):
         for v in g.vertices:
             for pre in _walk(g, v, plen):
                 base = g.source_of(pre[-1]) if pre else v
                 out.update(EvPath(pre, cycle) for cycle in loops.get(base, ()))
     return sorted(out, key=lambda x: (len(x.prefix), x.prefix, len(x.cycle), x.cycle))
-
-
-def some_tail_from(g, v) -> EvPath:
-    """A deterministic infinite path with range v (first in-edge walk)."""
-    walk = []
-    first_seen = {v: 0}
-    cur = v
-    while True:
-        ins = g.in_edges(cur)
-        if not ins:
-            raise InvalidPathError("vertex %r has no in-edges" % cur)
-        e = ins[0]
-        walk.append(e.id)
-        cur = e.source
-        if cur in first_seen:
-            cut = first_seen[cur]
-            return EvPath(tuple(walk[:cut]), tuple(walk[cut:]))
-        first_seen[cur] = len(walk)
 
 
 def in_cylinder(g, x: EvPath, alpha: FinPath) -> bool:

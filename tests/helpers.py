@@ -35,7 +35,6 @@ from ckcalc.paths import (
     ev_range,
     path_range,
     path_source,
-    paths_with_source,
     prepend,
     shift,
     shift_n,
@@ -115,8 +114,8 @@ def rand_point(g, rng, max_side=3, max_cycle=2):
     v = ev_range(g, z)
     m = rng.randint(0, max_side)
     n = rng.randint(0, max_side)
-    xs = paths_with_source(g, v, m)
-    ys = paths_with_source(g, v, n)
+    xs = reference_paths_with_source(g, v, m)
+    ys = reference_paths_with_source(g, v, n)
     if not xs or not ys:
         return GroupoidPoint(z, 0, z)
     x = prepend(rng.choice(xs), z)

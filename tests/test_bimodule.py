@@ -31,11 +31,10 @@ from ckcalc.paths import (
     path_source,
     point_in_Z,
     prepend,
-    some_tail_from,
 )
 
 from conftest import build_graph
-from helpers import all_monos, counting_check_mono, make_rng, rand_element
+from helpers import all_monos, counting_check_mono, make_rng, rand_element, random_tail
 
 
 def cyl(*parts):
@@ -112,9 +111,10 @@ def test_member_of_reassembled_family(o2):
     assert member(o2, cyl(fpath("a"), fpath("b")), family)
 
 
-def _member_point_oracle(g, m, spectrum):
+def _member_point_oracle(g, m, spectrum, rng):
     """Independent check: refine m to the family depth along continuation
-    windows and test one concrete orbit point per refined piece."""
+    windows and test one concrete orbit point per refined piece, on a random
+    tail drawn from rng."""
     g0 = underlying(g)
     peers = [c for c in spectrum.cylinders if c.degree == m.degree]
     if not peers:
@@ -124,7 +124,7 @@ def _member_point_oracle(g, m, spectrum):
     for w in continuations(g0, src, depth - len(m.beta)):
         alpha = join_paths(m.alpha, w)
         beta = join_paths(m.beta, w)
-        z = some_tail_from(g0, path_source(g0, w))
+        z = random_tail(g0, path_source(g0, w), rng)
         point = GroupoidPoint(prepend(alpha, z), m.degree, prepend(beta, z))
         if not any(point_in_Z(g0, point, c.alpha, c.beta) for c in peers):
             return False
@@ -132,12 +132,12 @@ def _member_point_oracle(g, m, spectrum):
 
 
 def test_member_matches_point_oracle(o2):
-    rng = make_rng(22)
+    rng, tails = make_rng(22), make_rng(23)
     pool = all_monos(o2, 2)
     for _ in range(30):
         family = SpectrumSet.from_cylinders(o2, rng.sample(pool, 3))
         m = rng.choice(pool)
-        assert member(o2, m, family) == _member_point_oracle(o2, m, family)
+        assert member(o2, m, family) == _member_point_oracle(o2, m, family, tails)
 
 
 def test_generated_spectrum_examples(o2):

@@ -20,7 +20,6 @@ from ckcalc.ckalg import (
     is_normalizing_pi,
     mono_element,
     mono_product,
-    mul_mono,
     normalize,
     path_isometry,
     phi_m,
@@ -101,7 +100,8 @@ def test_mono_product_cases(o2):
     assert mono_product(g, CKMono(fpath("a"), fpath("a")), CKMono(fpath("b"), fpath("b"))) is None
     ep = empty_path("v")
     assert mono_product(g, CKMono(ep, ep), CKMono(fpath("a"), ep)) == CKMono(fpath("a"), ep)
-    assert mul_mono(g, CKMono(fpath("a"), fpath("a")), CKMono(fpath("b"), fpath("b"))).is_zero()
+    assert (mono_element(g, CKMono(fpath("a"), fpath("a")))
+            * mono_element(g, CKMono(fpath("b"), fpath("b")))).is_zero()
 
 
 def test_ck_relation(o2, c2, loop3e):

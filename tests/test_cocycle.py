@@ -19,13 +19,13 @@ from ckcalc.cocycle import (
     is_z1_0_sampled,
     loop_growth,
     reconstruct_f,
-    truncation_telescope_sum,
     validate_total,
 )
 from ckcalc.ckalg import path_isometry, phi_m, zero
 from ckcalc.errors import (
     BadInputError,
     InvalidFunctionError,
+    InvalidPointError,
     NotEqualizableError,
     PreconditionError,
     WindowTooShortError,
@@ -43,7 +43,6 @@ from ckcalc.paths import (
     inverse,
     join_paths,
     path_source,
-    paths_with_source,
     prepend,
     shift_n,
 )
@@ -55,6 +54,7 @@ from helpers import (
     rand_fn,
     rand_point,
     random_graph,
+    reference_paths_with_source,
     reference_reconstruct_f,
 )
 
@@ -186,8 +186,8 @@ def test_tailed_matches_pointwise(o2, e2):
             if not ws:
                 continue
             w = rng.choice(ws)
-            pxs = paths_with_source(g0, path_range(g0, w), rng.randint(0, 2))
-            pys = paths_with_source(g0, path_range(g0, w), rng.randint(0, 2))
+            pxs = reference_paths_with_source(g0, path_range(g0, w), rng.randint(0, 2))
+            pys = reference_paths_with_source(g0, path_range(g0, w), rng.randint(0, 2))
             zs = [z for z in tails if ev_range(g0, z) == path_source(g0, w)]
             if not pxs or not pys or not zs:
                 continue
@@ -363,10 +363,10 @@ def test_obstruction_kills_telescope(o2):
         wit = integer_obstruction_witness(o2, fpath("a"), fpath("b"), ell)
         for _ in range(20):
             f = rand_fn(o2, rng, wit.window)
-            assert truncation_telescope_sum(f, wit.x, wit.y) == 0
+            assert eval_cocycle(f, GroupoidPoint(wit.x, 0, wit.y)) == 0
         # Sanity: a window one deeper does separate the pair.
         deep = rand_fn(o2, rng, wit.window + 1)
-        seen = truncation_telescope_sum(deep, wit.x, wit.y)
+        seen = eval_cocycle(deep, GroupoidPoint(wit.x, 0, wit.y))
         assert isinstance(seen, Fraction)
 
 
@@ -384,8 +384,8 @@ def test_obstruction_truncation_multisets(o2):
 
 def test_telescope_requires_merging(o2):
     one = LocallyConstantFn.constant(1)
-    with pytest.raises(PreconditionError):
-        truncation_telescope_sum(one, ev((), ("a",)), ev((), ("b",)))
+    with pytest.raises(InvalidPointError):
+        eval_cocycle(one, GroupoidPoint(ev((), ("a",)), 0, ev((), ("b",))))
 
 
 def test_is_z1_0_sampled(o2):
