@@ -52,7 +52,8 @@ class SpectrumSet(_Family):
     _layer = "a spectrum"
 
     def __init__(self, graph, cylinders):
-        cylinders = dict.fromkeys(cylinders)  # distinct, in the order given
+        cylinders = list(cylinders)
+        # Each monomial is checked before anything hashes it.
         graph = self._plain(graph, cylinders)
         self._init(graph, self._canonical(graph, {_key(graph, c): True for c in cylinders}))
 

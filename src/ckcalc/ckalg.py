@@ -8,7 +8,10 @@ these sets are disjoint or nested, and they form a forest under the child
 expansion that replaces (alpha, beta) by its one-edge extensions
 (alpha e, beta e) over the in-edges of the common source.
 Every operation reads and writes plain keys (common source, alpha edges,
-beta edges); .terms and monomials() build CKMono views on each read.
+beta edges) with plain values: each coefficient is its canonical integer
+triple (re_num, im_num, den), as scalars holds it.  .terms, monomials(),
+coefficient and evaluate build CKMono and GaussianRational views on each
+read.
 
 The stored form is the coarsest one (the reduced decision-diagram rule):
 per degree, the largest basic sets on which the function is a constant
@@ -26,12 +29,15 @@ A product of monomials is nonzero only when the left beta and the right
 alpha are prefix-comparable, so the product looks up just those pairs:
 each path is keyed by (range, edges), with an empty path at v a prefix of
 every path of range v, and the right factor's terms are indexed by the key
-of alpha and by every proper prefix of it.  A commutator merges both of
-its products into one map and coarsens it once.
+of alpha and by every proper prefix of it.  The products of one key are
+summed unreduced, over the lcm of their denominators, and each sum is
+brought to lowest terms once.  A commutator merges both of its products,
+the second with its sign, into one map and coarsens it once.
 
 evaluate reads a point (x, k, y) once, as n0, the least n >= max(k, 0) with
-S^n x = S^(n-k) y, and one truncation each of x and y; it sums the terms
-of degree k with |alpha| >= n0 whose alpha and beta start the truncations.
+S^n x = S^(n-k) y, and a truncation each of x and y, lengthened only when a
+longer alpha comes up; in one pass over the terms it sums those of degree
+k with |alpha| >= n0 whose alpha and beta start the truncations.
 
 Element equality is semantic: a == b iff a - b normalizes to zero.
 """
@@ -40,6 +46,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
 
 from .errors import (
     BadInputError,
@@ -72,6 +79,13 @@ from .paths import (
 from .scalars import (
     GaussianRational,
     ZERO,
+    _ZERO,
+    _add,
+    _lowest,
+    _modulus_squared,
+    _mul,
+    _of_triple,
+    _times_i_power,
     as_gaussian,
     format_rational,
     rational_from_json_obj,
@@ -269,47 +283,69 @@ def _forest(g, stem, keys, merged, add, out):
         out[stem] = val[stem]
 
 
-def _product_keys(g, left, right, merged):
-    """Add the product of the key maps left and right into merged, a map
-    from monomial keys to coefficients (None for a zero sum).
+def _product_keys(g, *products):
+    """The key map of the sum of sign * left * right over the products
+    (left, right, sign), with left and right key maps and sign 1 or -1: its
+    coefficients in lowest terms, and its zero sums dropped.
 
     A pair of terms has a nonzero product only when the left beta b1 and
     the right alpha a2 are prefix-comparable.  Its key is then cut from the
     two keys (s1, a1, b1) and (s2, a2, b2): (s2, a1 + a2[len(b1):], b2) when
     b1 is a prefix of a2, and (s1, a1, b2 + b1[len(a2):]) when a2 is a
-    proper prefix of b1.
+    proper prefix of b1.  The products of a key are summed unreduced over
+    the lcm of their denominators, so no sum's denominator is a product of
+    theirs, and each sum is reduced once at the end.
     """
-    rng, exact, extending = g._range, {}, {}
-    for (s2, a2, b2), c2 in right.items():
-        v = rng[a2[0]] if a2 else s2
-        exact.setdefault((v, a2), []).append((b2, c2))
-        for i in range(len(a2)):
-            extending.setdefault((v, a2[:i]), []).append((s2, a2, b2, c2))
-    for (s1, a1, b1), c1 in left.items():
-        n = len(b1)
-        v = rng[b1[0]] if b1 else s1
-        hits = [((s2, a1 + a2[n:], b2), c2) for s2, a2, b2, c2 in extending.get((v, b1), ())]
-        for i in range(n + 1):
-            hits += [((s1, a1, b2 + b1[i:]), c2) for b2, c2 in exact.get((v, b1[:i]), ())]
-        _add_into(merged, ((key, c1 * c2) for key, c2 in hits))
+    rng, merged = g._range, {}
+    get = merged.get
+    for left, right, sign in products:
+        exact, extending = {}, {}
+        for (s2, a2, b2), c2 in right.items():
+            if sign < 0:
+                c2 = -c2[0], -c2[1], c2[2]
+            v = rng[a2[0]] if a2 else s2
+            exact.setdefault((v, a2), []).append((b2, c2))
+            for i in range(len(a2)):
+                extending.setdefault((v, a2[:i]), []).append((s2, a2, b2, c2))
+        for (s1, a1, b1), (p, q, d) in left.items():
+            n = len(b1)
+            v = rng[b1[0]] if b1 else s1
+            hits = [((s2, a1 + a2[n:], b2), c2)
+                    for s2, a2, b2, c2 in extending.get((v, b1), ())]
+            for i in range(n + 1):
+                hits += [((s1, a1, b2 + b1[i:]), c2) for b2, c2 in exact.get((v, b1[:i]), ())]
+            for key, (r, t, f) in hits:
+                x, y, e = p * r - q * t, p * t + q * r, d * f
+                old = get(key)
+                if old is not None:
+                    x0, y0, e0 = old
+                    if e0 == e:
+                        x, y = x + x0, y + y0
+                    else:
+                        k = gcd(e, e0)
+                        m, m0 = e0 // k, e // k
+                        x, y, e = x * m + x0 * m0, y * m + y0 * m0, e * m
+                merged[key] = x, y, e
+    return {key: _lowest(c) for key, c in merged.items() if c[0] or c[1]}
 
 
-def _add_scalars(x, y):
-    s = x + y
-    return None if s.is_zero() else s
+def _add_values(x, y):
+    s = _add(x, y)
+    return None if s == _ZERO else s
 
 
 def _add_into(merged, pairs):
-    """Add the (key, coefficient) pairs into merged (None for a zero sum)."""
+    """Add the (key, triple) pairs into merged (None for a zero sum)."""
     for key, c in pairs:
         old = merged.get(key)
-        merged[key] = c if old is None else _add_scalars(old, c)
+        merged[key] = c if old is None else _add_values(old, c)
     return merged
 
 
 class _Family:
     """A canonical finite family of basic sets with values over a plain graph
-    without sources, held as one map _keys from monomial keys to values.  A
+    without sources, held as one map _keys from monomial keys to values
+    (coefficient triples for an element, True for a spectrum).  A
     subclass sets the layer its guard names (_layer) and _canonical(graph,
     merged), the coarsest listing of a key map (None for a zero sum)."""
 
@@ -317,7 +353,7 @@ class _Family:
 
     @classmethod
     def _plain(cls, graph, monos=()):
-        """The plain graph, guarded, with the distinct monomials monos checked."""
+        """The plain graph, guarded, with the monomials monos checked."""
         graph = underlying(graph)
         # A basic set at a source is empty and has no children to refine into.
         _require_no_sources(graph, cls._layer)
@@ -357,19 +393,20 @@ class AlgElement(_Family):
 
     def __init__(self, graph, terms=()):
         pairs = list(terms.items() if isinstance(terms, dict) else terms)
-        graph = self._plain(graph, {m for m, _ in pairs})
-        coerced = ((_key(graph, m), as_gaussian(c)) for m, c in pairs)  # after the checks
+        # Each monomial is checked before anything hashes it.
+        graph = self._plain(graph, [m for m, _ in pairs])
+        coerced = ((_key(graph, m), as_gaussian(c)._triple) for m, c in pairs)
         self._init(graph, self._canonical(
-            graph, _add_into({}, ((key, c) for key, c in coerced if not c.is_zero()))))
+            graph, _add_into({}, ((key, c) for key, c in coerced if c != _ZERO))))
 
     @staticmethod
     def _canonical(graph, merged):
-        return _coarsest_keys(graph, merged, _add_scalars)
+        return _coarsest_keys(graph, merged, _add_values)
 
     @property
     def terms(self):
         """The terms as a new map from CKMono to coefficient on each read."""
-        return {_from_key(key): c for key, c in self._keys.items()}
+        return {_from_key(key): _of_triple(c) for key, c in self._keys.items()}
 
     def is_zero(self):
         return not self._keys
@@ -392,20 +429,20 @@ class AlgElement(_Family):
         return self + (-other)
 
     def __neg__(self):
-        return AlgElement._trusted(self.graph, {key: -c for key, c in self._keys.items()})
+        return AlgElement._trusted(
+            self.graph, {key: (-x, -y, d) for key, (x, y, d) in self._keys.items()})
 
     def scale(self, scalar):
-        c0 = as_gaussian(scalar)
-        if c0.is_zero():
+        c0 = as_gaussian(scalar)._triple
+        if c0 == _ZERO:
             return zero(self.graph)
-        return AlgElement._trusted(self.graph, {key: c0 * c for key, c in self._keys.items()})
+        return AlgElement._trusted(self.graph, {key: _mul(c0, c) for key, c in self._keys.items()})
 
     def __mul__(self, other):
         if isinstance(other, AlgElement):
             _same_graph(self, other)
-            merged = {}
-            _product_keys(self.graph, self._keys, other._keys, merged)
-            return AlgElement._of_merged(self.graph, merged)
+            return AlgElement._of_merged(
+                self.graph, _product_keys(self.graph, (self._keys, other._keys, 1)))
         return self.scale(other)
 
     def __rmul__(self, scalar):
@@ -413,7 +450,7 @@ class AlgElement(_Family):
 
     def adjoint(self):
         return AlgElement._trusted(
-            self.graph, {(src, b, a): c.conjugate() for (src, a, b), c in self._keys.items()}
+            self.graph, {(src, b, a): (x, -y, d) for (src, a, b), (x, y, d) in self._keys.items()}
         )
 
     def __eq__(self, other):
@@ -519,7 +556,7 @@ def gauge(a: AlgElement, n, j) -> AlgElement:
     step = 4 // n * _int_arg("rotation power", j)
     return AlgElement._trusted(
         a.graph,
-        {key: c.times_i_power(step * _degree(key)) for key, c in a._keys.items()},
+        {key: _times_i_power(c, step * _degree(key)) for key, c in a._keys.items()},
     )
 
 
@@ -528,15 +565,17 @@ def evaluate(a: AlgElement, point: GroupoidPoint) -> GaussianRational:
     g, x, k, y = a.graph, point.x, point.k, point.y
     check_evpath(g, x)
     check_evpath(g, y)
-    terms = [(v, al, be, c) for (v, al, be), c in a._keys.items() if len(al) - len(be) == k]
-    if not terms:
-        return ZERO
-    n0 = _agree_from(x, k, y)
-    n = max(len(al) for _, al, _, _ in terms)
-    xt, yt = x.truncation(n), y.truncation(n - k)
-    return sum((c for v, al, be, c in terms if len(al) >= n0 and xt[:len(al)] == al
-                and yt[:len(be)] == be and (al or v == ev_range(g, x))
-                and (be or v == ev_range(g, y))), ZERO)
+    n0, m, total = _agree_from(x, k, y), -1, None
+    for (v, al, be), c in a._keys.items():
+        n = len(al)
+        if n < n0 or n - len(be) != k:
+            continue
+        if n > m:  # truncations as long as the longest alpha met
+            m, xt, yt = n, x.truncation(n), y.truncation(n - k)
+        if (xt[:n] == al and yt[:n - k] == be and (al or v == ev_range(g, x))
+                and (be or v == ev_range(g, y))):
+            total = c if total is None else _add(total, c)
+    return ZERO if total is None else _of_triple(total)
 
 
 def support_spectrum(a: AlgElement):
@@ -567,7 +606,7 @@ def _overlapping_side(a: AlgElement):
 def is_normalizing_pi(a: AlgElement) -> bool:
     """Structural test: unimodular coefficients, orthogonal initial and
     final projections across distinct terms."""
-    if any(c.modulus_squared() != 1 for c in a._keys.values()):
+    if any(_modulus_squared(c) != 1 for c in a._keys.values()):
         return False
     return _overlapping_side(a) is None
 
@@ -579,7 +618,7 @@ def restricted_norm(a: AlgElement) -> Fraction:
     side = _overlapping_side(a)
     if side is not None:
         raise UnsupportedNormError("%s projections overlap" % side)
-    best = max(c.modulus_squared() for c in a._keys.values())
+    best = max(map(_modulus_squared, a._keys.values()))
     root = rational_sqrt(best)
     if root is None:
         raise UnsupportedNormError("norm is not rational")
@@ -666,9 +705,9 @@ def _key_to_json_obj(key):
 def element_to_json_obj(a: AlgElement):
     out = []
     for key in sorted(a._keys, key=_key_order):
-        c = a._keys[key]
-        out.append(dict(_key_to_json_obj(key), re=format_rational(c.re),
-                        im=format_rational(c.im)))
+        x, y, d = a._keys[key]
+        out.append(dict(_key_to_json_obj(key), re=format_rational(Fraction(x, d)),
+                        im=format_rational(Fraction(y, d))))
     return out
 
 
@@ -698,8 +737,8 @@ def element_from_json_obj(g, obj) -> AlgElement:
         c = GaussianRational(
             rational_from_json_obj(item.get("re", "0")),
             rational_from_json_obj(item.get("im", "0")),
-        )
-        if not c.is_zero():
+        )._triple
+        if c != _ZERO:
             pairs.append((key, c))
     # The monomials are checked, so only the graph's guard is left.
     return AlgElement._of_merged(AlgElement._plain(g), _add_into({}, pairs))

@@ -48,13 +48,17 @@ class LocallyConstantFn:
     def __init__(self, depth, table):
         _int_arg("depth", depth, nonnegative=True)
         clean = {}
-        for word, value in dict(table).items():
-            word = tuple(word)
-            if len(word) != depth:
-                raise BadInputError(
-                    "table key %r does not have length %d" % (word, depth)
-                )
-            clean[word] = parse_rational(value)
+        try:
+            for word, value in dict(table).items():
+                word = tuple(word)
+                if len(word) != depth:
+                    raise BadInputError(
+                        "table key %r does not have length %d" % (word, depth)
+                    )
+                clean[word] = parse_rational(value)
+        except TypeError:  # a table that is no map of words, or an unhashable edge id
+            raise BadInputError("table must map words of edge ids to values, not %r"
+                                % (table,)) from None
         if depth == 0 and () not in clean:
             raise BadInputError("depth-0 function needs a value at the empty word")
         object.__setattr__(self, "depth", depth)

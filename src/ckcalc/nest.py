@@ -84,7 +84,7 @@ def nest_projection(og: OrderedGraph, level, cutpos) -> AlgElement:
             "cut %d outside 0..%d at level %d" % (cutpos, len(atoms), level)
         )
     return AlgElement._of_merged(
-        og.graph, {(path_source(og, p), p.edges, p.edges): ONE for p in atoms[:cutpos]})
+        og.graph, {(path_source(og, p), p.edges, p.edges): ONE._triple for p in atoms[:cutpos]})
 
 
 def _head(og, p: FinPath, length) -> FinPath:
@@ -199,7 +199,5 @@ def in_radical_spectrum(og: OrderedGraph, point: GroupoidPoint) -> bool:
 def commutator(a: AlgElement, b: AlgElement) -> AlgElement:
     """ab - ba: both products merged into one map and coarsened once."""
     _same_graph(a, b)
-    merged = {}
-    _product_keys(a.graph, a._keys, b._keys, merged)
-    _product_keys(a.graph, (-b)._keys, a._keys, merged)
-    return AlgElement._of_merged(a.graph, merged)
+    return AlgElement._of_merged(a.graph, _product_keys(
+        a.graph, (a._keys, b._keys, 1), (b._keys, a._keys, -1)))

@@ -6,6 +6,10 @@ and imaginary parts.  Each is held exactly as one integer triple
 gcd(re_num, im_num, den) == 1.  That form is canonical, so equal values have
 equal triples, and arithmetic is integer arithmetic plus one gcd.  The parts
 read back as fractions.Fraction values.  No floating point anywhere.
+
+The algebra layer keeps the bare triples as its coefficients and builds a
+GaussianRational only for its callers; _add, _mul and _times_i_power are the
+arithmetic on triples, and the operators of GaussianRational wrap them.
 """
 
 from __future__ import annotations
@@ -58,7 +62,7 @@ class GaussianRational:
         raise AttributeError("GaussianRational is immutable")
 
     def __reduce__(self):
-        return _trusted, self._triple
+        return _of_triple, (self._triple,)
 
     @property
     def re(self) -> Fraction:
@@ -84,72 +88,91 @@ class GaussianRational:
     def __add__(self, other):
         if type(other) is not GaussianRational:
             other = as_gaussian(other)
-        a, b, d = self._triple
-        c, e, f = other._triple
-        if d == f:
-            return _lowest(a + c, b + e, d)
-        return _lowest(a * f + c * d, b * f + e * d, d * f)
+        return _of_triple(_add(self._triple, other._triple))
 
     def __sub__(self, other):
         return self + -as_gaussian(other)
 
     def __neg__(self):
         a, b, d = self._triple
-        return _trusted(-a, -b, d)
+        return _of_triple((-a, -b, d))
 
     def __mul__(self, other):
         if type(other) is not GaussianRational:
             other = as_gaussian(other)
-        a, b, d = self._triple
-        c, e, f = other._triple
-        return _lowest(a * c - b * e, a * e + b * c, d * f)
+        return _of_triple(_mul(self._triple, other._triple))
 
     __radd__ = __add__
     __rmul__ = __mul__
 
     def conjugate(self):
         a, b, d = self._triple
-        return _trusted(a, -b, d)
+        return _of_triple((a, -b, d))
 
     def is_zero(self):
-        return self._triple == (0, 0, 1)
+        return self._triple == _ZERO
 
     def modulus_squared(self) -> Fraction:
         """|a + bi|^2, always an exact rational."""
-        a, b, d = self._triple
-        return Fraction(a * a + b * b, d * d)
+        return _modulus_squared(self._triple)
 
     def times_i_power(self, t):
         """Multiply by i**t exactly."""
-        t = t % 4
-        if t == 0:
-            return self
-        a, b, d = self._triple
-        if t == 1:
-            return _trusted(-b, a, d)
-        if t == 2:
-            return _trusted(-a, -b, d)
-        return _trusted(b, -a, d)
+        return _of_triple(_times_i_power(self._triple, t))
 
 
 _set_triple = GaussianRational._triple.__set__
+_ZERO = (0, 0, 1)  # the triple of zero
 
 
-def _trusted(a, b, d):
-    """The scalar with triple (a, b, d), which must already be canonical."""
+def _of_triple(x):
+    """The scalar with the triple x, which must already be canonical."""
     z = object.__new__(GaussianRational)
-    _set_triple(z, (a, b, d))
+    _set_triple(z, x)
     return z
 
 
-def _lowest(a, b, d):
-    """The scalar (a + b*i) / d for any d > 0, brought to lowest terms."""
+def _lowest(x):
+    """The triple (a, b, d), any d > 0, brought to lowest terms."""
+    a, b, d = x
     if d == 1:
-        return _trusted(a, b, 1)
+        return x
     g = math.gcd(a, b, d)
-    if g == 1:
-        return _trusted(a, b, d)
-    return _trusted(a // g, b // g, d // g)
+    return x if g == 1 else (a // g, b // g, d // g)
+
+
+def _add(x, y):
+    """The triple of the sum of the values of two triples."""
+    a, b, d = x
+    c, e, f = y
+    if d == f:
+        return _lowest((a + c, b + e, d))
+    return _lowest((a * f + c * d, b * f + e * d, d * f))
+
+
+def _mul(x, y):
+    """The triple of the product of the values of two triples."""
+    a, b, d = x
+    c, e, f = y
+    return _lowest((a * c - b * e, a * e + b * c, d * f))
+
+
+def _times_i_power(x, t):
+    """The triple of the value of x times i**t."""
+    a, b, d = x
+    t = t % 4
+    if t == 0:
+        return x
+    if t == 1:
+        return -b, a, d
+    if t == 2:
+        return -a, -b, d
+    return b, -a, d
+
+
+def _modulus_squared(x) -> Fraction:
+    a, b, d = x
+    return Fraction(a * a + b * b, d * d)
 
 
 ZERO = GaussianRational(0, 0)

@@ -4,7 +4,7 @@ The table holds one call per integer parameter.  It runs in one child
 interpreter under an address-space limit, with an alarm around each call,
 so a refusal that regresses to a runaway walk fails here and does not stall
 the suite.  A bool passes as the int it equals, and an edge id that is not
-hashable is reported as an unknown edge.
+hashable is reported as an unknown edge, or in a function table as bad input.
 """
 
 import json
@@ -16,10 +16,13 @@ import sys
 from fractions import Fraction
 
 import ckcalc
+from ckcalc.bimodule import SpectrumSet
 from ckcalc.ckalg import (
+    AlgElement,
     CKMono,
     af_compression_projections,
     check_proj_afpart,
+    diagonal_element,
     evaluate,
     gauge,
     mono_element,
@@ -100,6 +103,7 @@ def _edge_id_calls():
     og = build_graph(["v"], [("a", "v", "v"), ("b", "v", "v")], order=["a", "b"])
     s_a = mono_element(og, CKMono(fpath("a"), empty_path("v")))
     f = LocallyConstantFn.from_weights({"a": 1, "b": 2})
+    r_bad = CKMono(fpath(["a"]), fpath(["a"]))
 
     def point():
         bad = ev([["a"]], ["a"])
@@ -113,6 +117,12 @@ def _edge_id_calls():
         ("point_in_spectrum_alg_n", lambda: point_in_spectrum_alg_n(og, point()),
          "invalid_graph"),
         ("loop_growth", lambda: loop_growth(f, ev((), (["a"],)), 1), "invalid_function"),
+        ("AlgElement", lambda: AlgElement(og, [(r_bad, 1)]), "invalid_graph"),
+        ("mono_element", lambda: mono_element(og, r_bad), "invalid_graph"),
+        ("diagonal_element", lambda: diagonal_element(og, [(fpath(["a"]), 1)]), "invalid_graph"),
+        ("SpectrumSet.from_cylinders", lambda: SpectrumSet.from_cylinders(og, [r_bad]),
+         "invalid_graph"),
+        ("LocallyConstantFn", lambda: LocallyConstantFn(1, [((["a"],), 1)]), "bad_input"),
     ]
 
 
