@@ -27,6 +27,7 @@ from .errors import (
     OutOfRangeError,
     PreconditionError,
     SearchFailureError,
+    TooLargeError,
     UnsupportedNormError,
     UnsupportedRootError,
     WindowTooShortError,

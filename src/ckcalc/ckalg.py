@@ -44,7 +44,6 @@ Element equality is semantic: a == b iff a - b normalizes to zero.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
@@ -55,6 +54,7 @@ from .errors import (
     UnsupportedNormError,
     UnsupportedRootError,
     _int_arg,
+    _Record,
 )
 from .graph import (
     _require_no_sources,
@@ -93,12 +93,22 @@ from .scalars import (
 )
 
 
-@dataclass(frozen=True)
-class CKMono:
+class CKMono(_Record):
     """Monomial indexed by a pair of paths with a common source."""
 
-    alpha: FinPath
-    beta: FinPath
+    __slots__ = ("alpha", "beta")
+
+    def __init__(self, alpha, beta):
+        object.__setattr__(self, "alpha", alpha)
+        object.__setattr__(self, "beta", beta)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.alpha == other.alpha and self.beta == other.beta
+
+    def __hash__(self):
+        return hash((self.alpha, self.beta))
 
     @property
     def degree(self):
@@ -415,7 +425,13 @@ class AlgElement(_Family):
         return [_from_key(key) for key in sorted(self._keys, key=_key_order)]
 
     def coefficient(self, mono) -> GaussianRational:
-        return self.terms.get(mono, ZERO)
+        """The value .terms holds at mono (ZERO if none), read from its key."""
+        a = mono.alpha
+        e = None if a.is_empty else self.graph.edge_by_id.get(a.edges[-1])
+        key = (a.anchor if e is None else e.source, a.edges, mono.beta.edges)
+        c = self._keys.get(key)
+        # The key drops an empty beta's anchor, which must be the source too.
+        return ZERO if c is None or _from_key(key) != mono else _of_triple(c)
 
     def degrees(self):
         return sorted({_degree(key) for key in self._keys})
@@ -625,15 +641,13 @@ def restricted_norm(a: AlgElement) -> Fraction:
     return root
 
 
-@dataclass(frozen=True)
-class SeparatingProjections:
+class SeparatingProjections(_Record):
     """Diagonal projections p, q = e p e* built from a connector path pair."""
 
-    p: CKMono
-    q: CKMono
-    pi: FinPath
-    w: FinPath
-    level: int
+    __slots__ = ("p", "q", "pi", "w", "level")
+
+    def __init__(self, p, q, pi, w, level):
+        self._init(p, q, pi, w, level)
 
 
 def _connector_condition(pi, w, k) -> bool:

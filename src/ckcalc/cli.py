@@ -3,8 +3,8 @@
 Every subcommand reads JSON inputs (graph, element, function files), calls
 one library operation, and prints a single JSON object with sorted keys.
 Rationals are rendered "p/q", never as floats.  Exit codes: 0 success,
-1 domain error (the printed object carries a machine-readable code),
-2 usage error.
+1 domain error (the printed object carries a machine-readable code, and a
+request that runs out of memory is the too_large error), 2 usage error.
 
 The subcommands are the rows of COMMANDS.  A row lists its inputs; an input
 declares its flags and how their parsed text becomes a ready object.  The
@@ -23,7 +23,7 @@ import sys
 from collections import namedtuple
 
 from . import bimodule, ckalg, cocycle, graph as graphmod, nest, paths
-from .errors import BadInputError, CkError
+from .errors import BadInputError, CkError, TooLargeError
 from .scalars import format_rational, parse_rational
 
 # flags: ((flag, argparse keyword arguments), ...).  load(args), if set, runs
@@ -42,8 +42,10 @@ def _load_json(path):
             return json.load(fh)
     except OSError as exc:
         raise BadInputError("cannot read %s: %s" % (path, exc)) from exc
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # also bytes that are not UTF-8, an int past the digit limit
         raise BadInputError("%s is not valid JSON: %s" % (path, exc)) from exc
+    except RecursionError:
+        raise BadInputError("%s nests its JSON too deeply" % path) from None
 
 
 def _finpath_arg(g, word_text, anchor, side):
@@ -347,6 +349,8 @@ def main(argv=None):
         out, status = dict(cmd.emit(cmd.call(args)), ok=True), 0
     except CkError as exc:
         out, status = _error_obj(exc), 1
+    except MemoryError:
+        out, status = _error_obj(TooLargeError("the request needs more memory than there is")), 1
     return status if _emit(out, args.json_out) else 1
 
 

@@ -13,7 +13,6 @@ evaluator (_telescope) serves both signs of k, points, tailed pairs and pieces.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .ckalg import AlgElement, _refine
@@ -24,6 +23,7 @@ from .errors import (
     PreconditionError,
     WindowTooShortError,
     _int_arg,
+    _Record,
 )
 from .graph import _require_no_sources, strings_from_json_obj
 from .paths import (
@@ -106,8 +106,7 @@ def validate_total(g, f: LocallyConstantFn):
                 raise InvalidFunctionError("table misses path %r" % (word,))
 
 
-@dataclass(frozen=True)
-class TailedPair:
+class TailedPair(_Record):
     """Two paths sharing an unspecified tail after a common window.
 
     Represents x = prefix_x . window . T and y = prefix_y . window . T for
@@ -116,9 +115,10 @@ class TailedPair:
     are plain edge words; graph validity is the caller's concern.
     """
 
-    prefix_x: FinPath
-    prefix_y: FinPath
-    window: FinPath
+    __slots__ = ("prefix_x", "prefix_y", "window")
+
+    def __init__(self, prefix_x, prefix_y, window):
+        self._init(prefix_x, prefix_y, window)
 
     @property
     def k(self):
@@ -181,11 +181,11 @@ def reconstruct_f(g, f: LocallyConstantFn):
     return not failures, failures
 
 
-@dataclass(frozen=True)
-class LoopGrowthReport:
-    base: Fraction
-    verified: bool
-    unbounded: bool
+class LoopGrowthReport(_Record):
+    __slots__ = ("base", "verified", "unbounded")
+
+    def __init__(self, base, verified, unbounded):
+        self._init(base, verified, unbounded)
 
 
 def loop_growth(f: LocallyConstantFn, x: EvPath, period) -> LoopGrowthReport:
@@ -226,15 +226,13 @@ def acyclic_weights(edge_ids):
     return weights
 
 
-@dataclass(frozen=True)
-class ObstructionWitness:
+class ObstructionWitness(_Record):
     """Pair of paths witnessing the integer-multiple window obstruction."""
 
-    x: EvPath
-    y: EvPath
-    window: int
-    loop_alpha: FinPath
-    loop_beta: FinPath
+    __slots__ = ("x", "y", "window", "loop_alpha", "loop_beta")
+
+    def __init__(self, x, y, window, loop_alpha, loop_beta):
+        self._init(x, y, window, loop_alpha, loop_beta)
 
 
 def _bfs_connector(g, start, goal) -> FinPath:
@@ -298,10 +296,11 @@ def integer_obstruction_witness(g, alpha: FinPath, beta: FinPath, ell) -> Obstru
     )
 
 
-@dataclass(frozen=True)
-class Z10Report:
-    ok: bool
-    failures: tuple
+class Z10Report(_Record):
+    __slots__ = ("ok", "failures")
+
+    def __init__(self, ok, failures):
+        self._init(ok, failures)
 
 
 def is_z1_0_sampled(f: LocallyConstantFn, samples) -> Z10Report:

@@ -1,4 +1,6 @@
-"""Exception hierarchy. Every domain error carries a stable machine-readable code."""
+"""Exception hierarchy, the integer-argument check and the immutable-record base.
+
+Every domain error carries a stable machine-readable code."""
 
 
 class CkError(Exception):
@@ -99,6 +101,12 @@ class PreconditionError(CkError):
     code = "precondition_violation"
 
 
+class TooLargeError(CkError):
+    """A request whose answer or working set does not fit in memory."""
+
+    code = "too_large"
+
+
 def _int_arg(name, value, nonnegative=False):
     """value, if it is an int (a bool counts) and, when asked, not negative;
     otherwise BadInputError naming the parameter.  The public functions
@@ -107,3 +115,49 @@ def _int_arg(name, value, nonnegative=False):
         kind = "a nonnegative integer" if nonnegative else "an integer"
         raise BadInputError("%s must be %s, not %r" % (name, kind, value))
     return value
+
+
+class _Record:
+    """Base of the immutable value and report classes.
+
+    A subclass names its fields in __slots__ and sets each one once in
+    __init__, through object.__setattr__ or _init.  An instance equals only
+    an instance of its own class with equal fields, hashes as the tuple of
+    its fields, and reprs, copies and pickles by its fields (so loading
+    runs __init__ and its checks again).  The classes on hot paths set
+    each field and spell out __eq__ and __hash__ by hand: the loops here
+    would slow them.
+    """
+
+    __slots__ = ()
+
+    def __init_subclass__(cls):
+        cls.__match_args__ = cls.__slots__
+
+    def _init(self, *values):
+        for name, value in zip(self.__slots__, values):
+            object.__setattr__(self, name, value)
+
+    def _fields(self):
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("%s is immutable" % type(self).__name__)
+
+    def __delattr__(self, name):
+        raise AttributeError("%s is immutable" % type(self).__name__)
+
+    def __reduce__(self):
+        return type(self), self._fields()
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self):
+        return hash(self._fields())
+
+    def __repr__(self):
+        return "%s(%s)" % (type(self).__qualname__, ", ".join(
+            "%s=%r" % (name, getattr(self, name)) for name in self.__slots__))

@@ -9,24 +9,31 @@ space over every vertex nonempty.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from .errors import BadInputError, InvalidGraphError, PreconditionError
+from .errors import BadInputError, InvalidGraphError, PreconditionError, _Record
 
 
-@dataclass(frozen=True)
-class Edge:
-    id: str
-    range: str
-    source: str
+class Edge(_Record):
+    __slots__ = ("id", "range", "source")
+
+    def __init__(self, id, range, source):
+        object.__setattr__(self, "id", id)
+        object.__setattr__(self, "range", range)
+        object.__setattr__(self, "source", source)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.id == other.id and self.range == other.range and self.source == other.source
+
+    def __hash__(self):
+        return hash((self.id, self.range, self.source))
 
 
-@dataclass(frozen=True)
-class ValidationReport:
-    ok: bool
-    no_source_violations: tuple = ()
-    isolated_vertices: tuple = ()
-    order_violations: tuple = ()
+class ValidationReport(_Record):
+    __slots__ = ("ok", "no_source_violations", "isolated_vertices", "order_violations")
+
+    def __init__(self, ok, no_source_violations=(), isolated_vertices=(), order_violations=()):
+        self._init(ok, no_source_violations, isolated_vertices, order_violations)
 
 
 class Graph:

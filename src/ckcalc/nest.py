@@ -11,8 +11,6 @@ finite level bound serves as its oracle.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .ckalg import (
     AlgElement,
     CKMono,
@@ -22,7 +20,7 @@ from .ckalg import (
     mono_source,
     path_tail_of,
 )
-from .errors import OutOfRangeError, PreconditionError, _int_arg
+from .errors import OutOfRangeError, PreconditionError, _int_arg, _Record
 from .graph import OrderedGraph, _require_no_sources, _require_order
 from .paths import (
     FinPath,
@@ -113,15 +111,14 @@ def in_alg_n(og: OrderedGraph, m: CKMono):
     return False, None
 
 
-@dataclass(frozen=True)
-class NestViolation:
+class NestViolation(_Record):
     """A compression witnessing non-membership: the projection cutting the
     level just below `row` maps the monomial across the cut from `col`."""
 
-    level: int
-    cutpos: int
-    row: FinPath
-    col: FinPath
+    __slots__ = ("level", "cutpos", "row", "col")
+
+    def __init__(self, level, cutpos, row, col):
+        self._init(level, cutpos, row, col)
 
 
 def default_level_bound(og, m: CKMono):

@@ -15,7 +15,6 @@ point of the shift groupoid.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .errors import (
     BadInputError,
@@ -25,23 +24,32 @@ from .errors import (
     LengthMismatchError,
     NotComposableError,
     _int_arg,
+    _Record,
 )
 from .graph import OrderedGraph, _require_no_sources, _require_order, strings_from_json_obj
 
 
-@dataclass(frozen=True)
-class FinPath:
+class FinPath(_Record):
     """A finite edge word; empty paths carry the vertex they sit at."""
 
-    edges: tuple
-    anchor: str | None = None
+    __slots__ = ("edges", "anchor")
 
-    def __post_init__(self):
-        object.__setattr__(self, "edges", tuple(self.edges))
-        if self.edges and self.anchor is not None:
+    def __init__(self, edges, anchor=None):
+        edges = tuple(edges)
+        if edges and anchor is not None:
             raise BadInputError("anchor is only for empty paths")
-        if not self.edges and self.anchor is None:
+        if not edges and anchor is None:
             raise BadInputError("empty path needs an anchor vertex")
+        object.__setattr__(self, "edges", edges)
+        object.__setattr__(self, "anchor", anchor)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.edges == other.edges and self.anchor == other.anchor
+
+    def __hash__(self):
+        return hash((self.edges, self.anchor))
 
     def __len__(self):
         return len(self.edges)
@@ -141,7 +149,7 @@ def concat(g, a: FinPath, b: FinPath) -> FinPath:
     return join_paths(a, b)
 
 
-class EvPath:
+class EvPath(_Record):
     """Canonical eventually periodic infinite path."""
 
     __slots__ = ("prefix", "cycle")
@@ -158,12 +166,6 @@ class EvPath:
             cycle = [cycle[-1]] + cycle[:-1]
         object.__setattr__(self, "prefix", tuple(prefix))
         object.__setattr__(self, "cycle", tuple(cycle))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("EvPath is immutable")
-
-    def __reduce__(self):
-        return EvPath, (self.prefix, self.cycle)
 
     def __eq__(self, other):
         if not isinstance(other, EvPath):
@@ -272,17 +274,23 @@ def _agree_from(x: EvPath, k, y: EvPath):
     return n
 
 
-@dataclass(frozen=True)
-class GroupoidPoint:
-    x: EvPath
-    k: int
-    y: EvPath
+class GroupoidPoint(_Record):
+    __slots__ = ("x", "k", "y")
 
-    def __post_init__(self):
-        if not sim_k(self.x, _int_arg("degree k", self.k), self.y):
-            raise InvalidPointError(
-                "paths are not shift-equivalent at degree %d" % self.k
-            )
+    def __init__(self, x, k, y):
+        if not sim_k(x, _int_arg("degree k", k), y):
+            raise InvalidPointError("paths are not shift-equivalent at degree %d" % k)
+        object.__setattr__(self, "x", x)
+        object.__setattr__(self, "k", k)
+        object.__setattr__(self, "y", y)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.x == other.x and self.k == other.k and self.y == other.y
+
+    def __hash__(self):
+        return hash((self.x, self.k, self.y))
 
 
 def compose(g1: GroupoidPoint, g2: GroupoidPoint) -> GroupoidPoint:

@@ -2,13 +2,17 @@ import argparse
 import contextlib
 import io
 import json
+import os
 import pathlib
+import subprocess
+import sys
 import tempfile
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import ckcalc
 from ckcalc.bimodule import spectrum_from_json_obj
 from ckcalc.cli import build_parser, main
 from ckcalc.errors import BadInputError
@@ -420,6 +424,44 @@ def test_usage_error_exits_two(ws):
     with pytest.raises(SystemExit) as exc:
         main(["no-such-command"])
     assert exc.value.code == 2
+
+
+# Runs main on the arguments after it, under an address-space limit.
+LIMITED_MAIN = """
+import resource, sys
+resource.setrlimit(resource.RLIMIT_AS, (600 << 20, 600 << 20))
+from ckcalc.cli import main
+sys.exit(main(sys.argv[1:]))
+"""
+
+
+# Graph files the JSON parser cannot read; each must give bad_input.
+UNREADABLE = {
+    "nested": b"[" * 100000 + b"]" * 100000,  # past the recursion limit
+    "not UTF-8": b'\xff\xfe{"vertices": []}',
+    "long integer": b'{"vertices": ' + b"9" * 5000 + b"}",  # past the 4300-digit limit
+}
+
+
+@pytest.mark.parametrize("case", sorted(UNREADABLE) + ["oversized"])
+def test_unreadable_or_oversized_input_gives_one_error_line(ws, case):
+    """Each unreadable graph file, and an obstruction witness of 10^8 loop
+    copies (800 MB of tuple), ends in one error line and no traceback in a
+    child limited to 600 MB of address space."""
+    if case in UNREADABLE:
+        code, path = "bad_input", ws["dir"] / "unreadable.json"
+        path.write_bytes(UNREADABLE[case])
+        argv = ["validate", "--graph", str(path)]
+    else:
+        code = "too_large"
+        argv = ["obstruction", "--graph", ws["o2"], "--alpha", "a", "--beta", "b",
+                "--ell", "100000000"]
+    src = os.path.dirname(os.path.dirname(ckcalc.__file__))
+    run = subprocess.run([sys.executable, "-c", LIMITED_MAIN, *argv], capture_output=True,
+                         text=True, timeout=120, env=dict(os.environ, PYTHONPATH=src))
+    assert (run.returncode, run.stderr) == (1, "")
+    [line] = run.stdout.splitlines()
+    assert json.loads(line)["error"]["code"] == code
 
 
 def _edge(eid, rng="v", src="v"):

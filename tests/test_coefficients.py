@@ -9,17 +9,27 @@ the product loop (c1 M + c2 p_r)(d1 p_s + d2 M) with c1 d1 = -c2 d2 sums
 M p_s and p_r M to zero, and a sum meets the negatives of some terms.  The
 results are checked against helpers.value_at and helpers.convolve at points
 drawn with helpers.point_in, which read the public term maps only.
+coefficient reads one key of the core and agrees with .terms on any monomial.
 """
 
 import math
 from fractions import Fraction
 
-from ckcalc.ckalg import AlgElement, CKMono, adjoint, evaluate, gauge
+from ckcalc.ckalg import AlgElement, CKMono, adjoint, evaluate, gauge, normalize
 from ckcalc.nest import commutator
-from ckcalc.paths import _path, inverse, path_range, path_source
+from ckcalc.paths import _path, empty_path, fpath, inverse, path_range, path_source
 from ckcalc.scalars import ZERO, GaussianRational
 
-from helpers import all_monos, convolve, make_rng, point_in, random_graph, value_at
+from helpers import (
+    all_monos,
+    convolve,
+    make_rng,
+    paths_up_to,
+    point_in,
+    rand_element,
+    random_graph,
+    value_at,
+)
 
 GRAPHS = 25
 I_POWERS = [GaussianRational(1), GaussianRational(0, 1), GaussianRational(-1),
@@ -115,3 +125,22 @@ def test_scale_gauge_and_adjoint_keep_canonical_triples():
                 assert evaluate(scaled, p) == value_at(a, p) * c
                 assert evaluate(rotated, p) == value_at(a, p) * I_POWERS[j * p.k % 4]
                 assert evaluate(star, p) == value_at(a, inverse(p)).conjugate()
+
+
+def test_coefficient_reads_what_terms_holds():
+    """coefficient(m) is .terms.get(m, ZERO) for every pair of paths, those
+    with different sources, an unknown edge or an unknown anchor included."""
+    rng, hits = make_rng(94), 0
+    for _ in range(GRAPHS):
+        g = random_graph(rng, max_vertices=3, max_in=2, sources=False)
+        z = rand_element(g, rng, n_terms=6, max_len=2)
+        sides = paths_up_to(g, 2) + [fpath("zz"), empty_path("zz")]
+        for a in (z, normalize(z, beta_depth=2)):
+            terms = a.terms
+            for alpha in sides:
+                for beta in sides:
+                    m = CKMono(alpha, beta)
+                    assert a.coefficient(m) == terms.get(m, ZERO)
+            hits += len(terms)
+            assert all(a.coefficient(m) == c for m, c in terms.items())
+    assert hits > 2 * GRAPHS

@@ -1,15 +1,25 @@
-"""copy, deepcopy and pickle of the immutable value classes."""
+"""copy, deepcopy and pickle of the immutable value classes, and the
+fields, reprs and equality of the record classes."""
 
 import copy
 import pickle
+from fractions import Fraction
 
 import pytest
 
 from ckcalc import bimodule, ckalg
 from ckcalc.bimodule import SpectrumSet
-from ckcalc.ckalg import CKMono, identity, normalize, path_isometry
-from ckcalc.cocycle import LocallyConstantFn
-from ckcalc.paths import EvPath, fpath
+from ckcalc.ckalg import CKMono, SeparatingProjections, identity, normalize, path_isometry
+from ckcalc.cocycle import (
+    LocallyConstantFn,
+    LoopGrowthReport,
+    ObstructionWitness,
+    TailedPair,
+    Z10Report,
+)
+from ckcalc.graph import Edge, ValidationReport
+from ckcalc.nest import NestViolation
+from ckcalc.paths import EvPath, GroupoidPoint, empty_path, ev, fpath
 from ckcalc.scalars import GaussianRational
 
 ROUND_TRIPS = {
@@ -19,13 +29,46 @@ ROUND_TRIPS = {
 }
 
 
+def records():
+    """One instance of each record class, with its pinned repr."""
+    a_inf = ev((), ("a",))
+    return [
+        (Edge("a", "v", "v"), "Edge(id='a', range='v', source='v')"),
+        (ValidationReport(False, ("u",)),
+         "ValidationReport(ok=False, no_source_violations=('u',), isolated_vertices=(), "
+         "order_violations=())"),
+        (fpath("a", "b"), "FinPath(ab)"),
+        (empty_path("v"), "FinPath(()@v)"),
+        (GroupoidPoint(ev(("b",), ("a",)), 1, a_inf),
+         "GroupoidPoint(x=EvPath(['b'] + ['a']*), k=1, y=EvPath([] + ['a']*))"),
+        (CKMono(fpath("a"), empty_path("v")), "CKMono(FinPath(a), FinPath(()@v))"),
+        (SeparatingProjections(CKMono(fpath("a"), fpath("a")), CKMono(fpath("b"), fpath("b")),
+                               fpath("a", "b"), fpath("b"), 1),
+         "SeparatingProjections(p=CKMono(FinPath(a), FinPath(a)), "
+         "q=CKMono(FinPath(b), FinPath(b)), pi=FinPath(ab), w=FinPath(b), level=1)"),
+        (TailedPair(fpath("a"), empty_path("v"), fpath("b")),
+         "TailedPair(prefix_x=FinPath(a), prefix_y=FinPath(()@v), window=FinPath(b))"),
+        (LoopGrowthReport(Fraction(3, 2), True, True),
+         "LoopGrowthReport(base=Fraction(3, 2), verified=True, unbounded=True)"),
+        (ObstructionWitness(ev(("a", "b"), ("b",)), ev(("b", "a"), ("b",)), 2, fpath("a"),
+                            fpath("b")),
+         "ObstructionWitness(x=EvPath(['a'] + ['b']*), y=EvPath(['b', 'a'] + ['b']*), "
+         "window=2, loop_alpha=FinPath(a), loop_beta=FinPath(b))"),
+        (Z10Report(False, ((GroupoidPoint(a_inf, 0, a_inf), Fraction(1)),)),
+         "Z10Report(ok=False, failures=((GroupoidPoint(x=EvPath([] + ['a']*), k=0, "
+         "y=EvPath([] + ['a']*)), Fraction(1, 1)),))"),
+        (NestViolation(1, 2, fpath("b"), fpath("a")),
+         "NestViolation(level=1, cutpos=2, row=FinPath(b), col=FinPath(a))"),
+    ]
+
+
 def values(g):
     return [
         GaussianRational(3, -2) * GaussianRational(1, 7),
         EvPath(("a", "b"), ("b", "a")),
         SpectrumSet(g, [CKMono(fpath("a"), fpath("b")), CKMono(fpath("b"), fpath("b"))]),
         LocallyConstantFn(1, {("a",): 1, ("b",): "-1/2"}),
-    ]
+    ] + [x for x, _ in records()]
 
 
 @pytest.mark.parametrize("how", sorted(ROUND_TRIPS))
@@ -73,3 +116,47 @@ def test_families_copy_without_rebuilding(o2, how, monkeypatch):
         monkeypatch.setattr(module, "_coarsest_keys", refuse)
     assert ROUND_TRIPS[how](s).cylinders == s.cylinders
     assert ROUND_TRIPS[how](a).terms == a.terms
+
+
+def fields(x):
+    return tuple(getattr(x, name) for name in type(x).__slots__)
+
+
+def test_records_keep_their_reprs_and_field_hashes():
+    for x, text in records():
+        assert repr(x) == text
+        assert hash(x) == hash(fields(x))
+        assert x == type(x)(*fields(x))
+
+
+def test_records_refuse_assignment_and_deletion():
+    for x in [x for x, _ in records()] + [ev(("b",), ("a",))]:
+        name = type(x).__slots__[0]
+        with pytest.raises(AttributeError, match="immutable"):
+            setattr(x, name, None)
+        with pytest.raises(AttributeError, match="immutable"):
+            delattr(x, name)
+        with pytest.raises(AttributeError, match="immutable"):
+            x.extra = 1
+        assert not hasattr(x, "__dict__")
+
+
+def test_records_equal_only_within_their_class():
+    xs = [x for x, _ in records()]
+    for x in xs:
+        assert x != fields(x)
+        for y in xs:
+            assert (x == y) == (x is y)
+    # Equal field tuples do not make records of two classes equal.
+    assert Edge("a", "v", "v") != LoopGrowthReport("a", "v", "v")
+    assert Z10Report(True, ()) != CKMono(True, ())
+    assert len({Edge("a", "v", "v"), LoopGrowthReport("a", "v", "v")}) == 2
+
+
+def test_records_match_by_position():
+    x, y = ev(("b",), ("a",)), ev((), ("a",))
+    match GroupoidPoint(x, 1, y):
+        case GroupoidPoint(px, k, py):
+            assert (px, k, py) == (x, 1, y)
+        case _:
+            pytest.fail("no positional match")

@@ -11,7 +11,7 @@ EXPORTS = {
     "InvalidPointError", "LengthMismatchError", "LocallyConstantFn",
     "NotComposableError", "NotEqualizableError", "OrderedGraph", "OutOfRangeError",
     "PreconditionError", "SearchFailureError", "SpectrumSet", "TailedPair",
-    "UnsupportedNormError", "UnsupportedRootError", "WindowTooShortError",
+    "TooLargeError", "UnsupportedNormError", "UnsupportedRootError", "WindowTooShortError",
     "acyclic_weights", "adjoint", "af_compression_projections", "all_finpaths",
     "bimodule_member", "check_proj_afpart", "ck_in_analytic", "commutator",
     "compose", "concat", "continuations", "diagonal_element", "element",

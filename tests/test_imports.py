@@ -1,5 +1,6 @@
-"""Every module of the package uses each name it imports, and every
-private module-level function is read somewhere in the package.
+"""Every module of the package uses each name it imports, every private
+module-level function is read somewhere in the package, and importing the
+package loads no heavy standard-library module its own imports do not.
 
 Helpers move between modules; a stale import, or a helper whose last caller
 moved away, still loads, so only a static check catches it.  `__init__.py`
@@ -7,7 +8,11 @@ is excluded from the import check: its imports are the package's exports.
 """
 
 import ast
+import json
+import os
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -65,3 +70,37 @@ def test_unread_private_functions_are_found():
 
 def test_every_private_function_is_read():
     assert unread_private_functions(p.read_text() for p in PACKAGE.glob("*.py")) == []
+
+
+def stdlib_imports(sources):
+    """Top-level names of the absolute imports in the given module sources."""
+    names = set()
+    for source in sources:
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.Import):
+                names.update(alias.name.split(".")[0] for alias in node.names)
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                names.add(node.module.split(".")[0])
+    return names - {"__future__"}
+
+
+def loaded_modules(statement):
+    """sys.modules of a fresh interpreter after running statement."""
+    code = "import json, sys\n%s\nprint(json.dumps(sorted(sys.modules)))" % statement
+    env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
+    run = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True, timeout=60)
+    return set(json.loads(run.stdout))
+
+
+def test_import_loads_no_dataclasses_or_inspect():
+    # dataclasses pulls in inspect, ast, dis and tokenize, and generates code
+    # for each class: about 12 ms of every start-up.  Compared with a bare
+    # import of the package's other standard modules, so a Python whose own
+    # modules load these does not fail here.
+    heavy = {"dataclasses", "inspect"}
+    others = stdlib_imports(p.read_text() for p in PACKAGE.glob("*.py")) - heavy
+    bare = loaded_modules("import " + ", ".join(sorted(others)))
+    package = loaded_modules("import ckcalc, ckcalc.cli")
+    assert "ckcalc.cli" in package
+    assert heavy & package <= bare
