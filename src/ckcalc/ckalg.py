@@ -53,6 +53,7 @@ from .errors import (
     SearchFailureError,
     UnsupportedNormError,
     UnsupportedRootError,
+    _Immutable,
     _int_arg,
     _Record,
 )
@@ -352,7 +353,7 @@ def _add_into(merged, pairs):
     return merged
 
 
-class _Family:
+class _Family(_Immutable):
     """A canonical finite family of basic sets with values over a plain graph
     without sources, held as one map _keys from monomial keys to values
     (coefficient triples for an element, True for a spectrum).  A
@@ -386,9 +387,6 @@ class _Family:
     def _of_merged(cls, graph, merged):
         """The object of a key map of checked monomials (None for a zero sum)."""
         return cls._trusted(graph, cls._canonical(graph, merged))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("%s is immutable" % type(self).__name__)
 
     def __reduce__(self):
         # Through _trusted, so a refined listing from normalize is kept as is.

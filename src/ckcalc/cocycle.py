@@ -22,6 +22,7 @@ from .errors import (
     NotEqualizableError,
     PreconditionError,
     WindowTooShortError,
+    _Immutable,
     _int_arg,
     _Record,
 )
@@ -40,7 +41,7 @@ from .paths import (
 from .scalars import format_rational, parse_rational, rational_from_json_obj
 
 
-class LocallyConstantFn:
+class LocallyConstantFn(_Immutable):
     """Depth-N function given by a total table on length-N edge words."""
 
     __slots__ = ("depth", "table")
@@ -52,9 +53,7 @@ class LocallyConstantFn:
             for word, value in dict(table).items():
                 word = tuple(word)
                 if len(word) != depth:
-                    raise BadInputError(
-                        "table key %r does not have length %d" % (word, depth)
-                    )
+                    raise BadInputError("table key %r does not have length %d" % (word, depth))
                 clean[word] = parse_rational(value)
         except TypeError:  # a table that is no map of words, or an unhashable edge id
             raise BadInputError("table must map words of edge ids to values, not %r"
@@ -63,9 +62,6 @@ class LocallyConstantFn:
             raise BadInputError("depth-0 function needs a value at the empty word")
         object.__setattr__(self, "depth", depth)
         object.__setattr__(self, "table", clean)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("LocallyConstantFn is immutable")
 
     def __reduce__(self):
         return LocallyConstantFn, (self.depth, self.table)

@@ -1,4 +1,4 @@
-"""Exception hierarchy, the integer-argument check and the immutable-record base.
+"""Exception hierarchy, the integer-argument check and the immutable bases.
 
 Every domain error carries a stable machine-readable code."""
 
@@ -117,7 +117,18 @@ def _int_arg(name, value, nonnegative=False):
     return value
 
 
-class _Record:
+class _Immutable:
+    """Base whose instances refuse to assign or delete an attribute."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError("%s is immutable" % type(self).__name__)
+
+    __delattr__ = __setattr__
+
+
+class _Record(_Immutable):
     """Base of the immutable value and report classes.
 
     A subclass names its fields in __slots__ and sets each one once in
@@ -140,12 +151,6 @@ class _Record:
 
     def _fields(self):
         return tuple(getattr(self, name) for name in self.__slots__)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("%s is immutable" % type(self).__name__)
-
-    def __delattr__(self, name):
-        raise AttributeError("%s is immutable" % type(self).__name__)
 
     def __reduce__(self):
         return type(self), self._fields()

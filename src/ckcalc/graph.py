@@ -188,62 +188,66 @@ def validate_order(og: OrderedGraph) -> ValidationReport:
     return ValidationReport(ok=og.adapted, order_violations=og.order_violations)
 
 
-def _step_arcs(graph: Graph, edges):
-    """Arcs v -> w meaning some edge in `edges` has range v and source w."""
-    arcs = {v: set() for v in graph.vertices}
-    for e in edges:
-        arcs[e.range].add(e.source)
-    return arcs
+def _components(nodes, succ):
+    """Strongly connected components of a finite digraph, as lists of nodes
+    in reverse topological order: no arc leaves a component for a later one.
+    succ maps each hashable node to its out-arcs as (label, successor) pairs,
+    as Graph._in_ids does.  Tarjan's 1972 depth-first pass, kept iterative
+    so that a long path meets no recursion limit."""
+    index, low, stack, on_stack, out, frames = {}, {}, [], set(), [], []
+
+    def visit(v):
+        # A frame: the node, its unread arcs, and its place on the stack.
+        frames.append((v, iter(succ[v]), len(stack)))
+        index[v] = low[v] = len(index)
+        stack.append(v)
+        on_stack.add(v)
+
+    for root in nodes:
+        if root not in index:
+            visit(root)
+        while frames:
+            v, arcs, at = frames[-1]
+            for _, w in arcs:
+                if w not in index:
+                    visit(w)
+                    break
+                if w in on_stack:
+                    low[v] = min(low[v], index[w])
+            else:
+                frames.pop()
+                if frames:
+                    u = frames[-1][0]
+                    low[u] = min(low[u], low[v])
+                if low[v] == index[v]:
+                    out.append(stack[at:])
+                    on_stack.difference_update(out[-1])
+                    del stack[at:]
+    return out
 
 
-def _has_cycle(graph: Graph, edges):
-    """Peel off vertices that no remaining arc enters; a cycle is what is left."""
-    arcs = _step_arcs(graph, edges)
-    entering = {v: 0 for v in graph.vertices}
-    for targets in arcs.values():
-        for w in targets:
-            entering[w] += 1
-    free = [v for v, n in entering.items() if n == 0]
-    peeled = 0
-    while free:
-        peeled += 1
-        for w in arcs[free.pop()]:
-            entering[w] -= 1
-            if entering[w] == 0:
-                free.append(w)
-    return peeled < len(graph.vertices)
+def _cyclic(component, succ):
+    """Whether a component holds a cycle: two or more nodes, or a self-arc."""
+    return len(component) > 1 or any(w == component[0] for _, w in succ[component[0]])
 
 
 def has_loop(graph: Graph) -> bool:
     """True iff the graph contains a directed cycle."""
-    return _has_cycle(graph, graph.edges)
+    return any(_cyclic(c, graph._in_ids) for c in _components(graph.vertices, graph._in_ids))
 
 
 def every_loop_has_entrance(graph: Graph) -> bool:
     """True iff no directed cycle consists solely of in-degree-1 vertices.
-
-    A cycle with no entrance is exactly a cycle in the subgraph of edges
-    whose range vertex has total in-degree one.
-    """
-    narrow = [e for e in graph.edges if len(graph.in_edges(e.range)) == 1]
-    return not _has_cycle(graph, narrow)
+    Such a cycle is a whole component: an arc into it from outside would be
+    a second in-edge of one of its vertices."""
+    ins = graph._in_ids
+    return not any(_cyclic(c, ins) and all(len(ins[v]) == 1 for v in c)
+                   for c in _components(graph.vertices, ins))
 
 
 def is_transitive(graph: Graph) -> bool:
     """True iff every ordered pair of distinct vertices is path-connected."""
-    arcs = _step_arcs(graph, graph.edges)
-    for v in graph.vertices:
-        seen = set()
-        frontier = [v]
-        while frontier:
-            u = frontier.pop()
-            for w in arcs[u]:
-                if w not in seen:
-                    seen.add(w)
-                    frontier.append(w)
-        if not graph.vertex_set <= seen | {v}:
-            return False
-    return True
+    return len(_components(graph.vertices, graph._in_ids)) <= 1
 
 
 def max_simple_loop_length(graph: Graph) -> int:
@@ -253,7 +257,7 @@ def max_simple_loop_length(graph: Graph) -> int:
     path, so each cycle is met once, from its smallest vertex; only lengths
     are kept.  Exponential in the worst case: a longest cycle is NP-hard.
     """
-    arcs = _step_arcs(graph, graph.edges)
+    arcs = {v: {w for _, w in ids} for v, ids in graph._in_ids.items()}
     best = 1
     for root in sorted(graph.vertices):
         path, frames = [root], [iter(arcs[root])]

@@ -260,7 +260,7 @@ def is_s_maximal(og: OrderedGraph, p: FinPath) -> bool:
 
 def sim_k(x: EvPath, k, y: EvPath) -> bool:
     """True iff x[i+k] == y[i] for all large i."""
-    n0 = max(len(x.prefix) - k, len(y.prefix), 0) + 1
+    n0 = max(len(x.prefix) - _int_arg("degree k", k), len(y.prefix), 0) + 1
     span = math.lcm(len(x.cycle), len(y.cycle))
     return all(x.edge_at(i + k) == y.edge_at(i) for i in range(n0, n0 + span))
 
@@ -278,7 +278,7 @@ class GroupoidPoint(_Record):
     __slots__ = ("x", "k", "y")
 
     def __init__(self, x, k, y):
-        if not sim_k(x, _int_arg("degree k", k), y):
+        if not sim_k(x, k, y):
             raise InvalidPointError("paths are not shift-equivalent at degree %d" % k)
         object.__setattr__(self, "x", x)
         object.__setattr__(self, "k", k)

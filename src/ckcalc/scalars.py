@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .errors import BadInputError
+from .errors import BadInputError, _Immutable
 
 
 def parse_rational(text) -> Fraction:
@@ -40,7 +40,7 @@ def format_rational(value: Fraction) -> str:
     return str(Fraction(value))
 
 
-class GaussianRational:
+class GaussianRational(_Immutable):
     """Immutable a + b*i with exact rational a, b."""
 
     __slots__ = ("_triple",)
@@ -57,9 +57,6 @@ class GaussianRational:
         den = math.lcm(re.denominator, im.denominator)
         _set_triple(self, (re.numerator * (den // re.denominator),
                            im.numerator * (den // im.denominator), den))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("GaussianRational is immutable")
 
     def __reduce__(self):
         return _of_triple, (self._triple,)

@@ -124,20 +124,26 @@ def test_max_simple_loop_length_defaults_to_one():
     assert max_simple_loop_length(g) == 1
 
 
-def _longest_cycle_by_permutations(g):
-    """Reference: the most vertices an ordering can visit and close, or 1."""
+def _closed_orderings(g):
+    """Reference: every ordering of distinct vertices whose arcs close a cycle."""
     arcs = {(e.range, e.source) for e in g.edges}
-    return max(
-        (k for k in range(1, len(g.vertices) + 1)
-         for cycle in itertools.permutations(g.vertices, k)
-         if all((cycle[i - 1], cycle[i]) in arcs for i in range(k))),
-        default=1,
-    )
+    return [cycle for k in range(1, len(g.vertices) + 1)
+            for cycle in itertools.permutations(g.vertices, k)
+            if all((cycle[i - 1], cycle[i]) in arcs for i in range(k))]
+
+
+def _transitive_by_closure(g):
+    """Reference: every ordered pair of distinct vertices is in the transitive
+    closure of the arcs, grown one intermediate vertex at a time (Warshall)."""
+    reach = {(e.range, e.source) for e in g.edges}
+    for m in g.vertices:
+        reach |= {(u, w) for u, x in reach if x == m for y, w in reach if y == m}
+    return all((u, w) in reach for u in g.vertices for w in g.vertices if u != w)
 
 
 def test_max_simple_loop_length_matches_permutation_search():
     rng = make_rng(17)
-    kinds = set()
+    kinds, answers = set(), set()
     for _ in range(400):
         names = rng.sample("abcde", rng.randint(1, 5))
         loop_free = rng.random() < 0.25
@@ -147,14 +153,30 @@ def test_max_simple_loop_length_matches_permutation_search():
             if not loop_free or r < s:
                 triples.append(("e%d" % j, names[r], names[s]))
         g = build_graph(names, triples)
+        cycles = _closed_orderings(g)
         kinds.add((bool(g.sources), has_loop(g)))
-        assert max_simple_loop_length(g) == _longest_cycle_by_permutations(g), triples
+        assert max_simple_loop_length(g) == max(map(len, cycles), default=1), triples
+        # A loop without an entrance: a cycle whose vertices have in-degree 1.
+        closed = any(all(len(g.in_edges(v)) == 1 for v in c) for c in cycles)
+        got = (has_loop(g), every_loop_has_entrance(g), is_transitive(g))
+        assert got == (bool(cycles), not closed, _transitive_by_closure(g)), triples
+        answers.update(enumerate(got))
     assert kinds == {(False, True), (True, True), (True, False)}
+    assert answers == {(i, b) for i in range(3) for b in (False, True)}
     for n in (8, 9):
         names = ["v%d" % i for i in range(n)]
         pairs = [(u, w) for u in names for w in names if u != w]
         complete = build_graph(names, [("%s%s" % p, *p) for p in pairs])
         assert max_simple_loop_length(complete) == n
+    # Each vertex steps to the next, so one depth-first walk is 3,000 deep.
+    names = ["v%d" % i for i in range(3000)]
+    path = [("e%d" % i, names[i], names[i + 1]) for i in range(len(names) - 1)]
+    ring = build_graph(names, path + [("back", names[-1], names[0])])
+    assert (has_loop(ring), every_loop_has_entrance(ring), is_transitive(ring)) == (
+        True, False, True)
+    line = build_graph(names, path)
+    assert (has_loop(line), every_loop_has_entrance(line), is_transitive(line)) == (
+        False, True, False)
 
 
 def test_json_round_trip(o2, c2):

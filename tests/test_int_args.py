@@ -46,6 +46,7 @@ from ckcalc.paths import (
     path_range,
     primitive_loops,
     shift_n,
+    sim_k,
 )
 
 BAD = (1.5, 2.0, "1")  # refused by every row; each row adds its own
@@ -93,6 +94,7 @@ def _rows():
         ("enumerate_evpaths max_prefix_len", lambda n: enumerate_evpaths(og, n, 1), INT),
         ("enumerate_evpaths max_cycle_len", lambda n: enumerate_evpaths(og, 1, n), INT),
         ("GroupoidPoint k", lambda n: GroupoidPoint(ba_inf, n, a_inf), INT),
+        ("sim_k k", lambda n: sim_k(ba_inf, n, a_inf), INT),
     ]
 
 
