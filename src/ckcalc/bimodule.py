@@ -21,7 +21,6 @@ from .ckalg import (
     CKMono,
     check_mono,
     mono_from_json_obj,
-    path_tail_of,
     _Family,
     _coarsest_keys,
     _from_key,
@@ -33,15 +32,6 @@ from .ckalg import (
 from .cocycle import LocallyConstantFn, _cocycle_pieces
 from .errors import BadInputError
 from .graph import _require_no_sources, underlying
-
-
-def cyl_contains(g, inner: CKMono, outer: CKMono) -> bool:
-    """True iff the basic set of `inner` sits inside that of `outer`."""
-    t1 = path_tail_of(g, inner.alpha, outer.alpha)
-    if t1 is None:
-        return False
-    t2 = path_tail_of(g, inner.beta, outer.beta)
-    return t2 is not None and t1 == t2
 
 
 class SpectrumSet(_Family):

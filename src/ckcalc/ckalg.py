@@ -26,10 +26,11 @@ built climbing, and lists a child it lacks only under a node that is not
 constant.  The stored order follows the inputs, not string hashing.
 
 A product of monomials is nonzero only when the left beta and the right
-alpha are prefix-comparable, so the product looks up just those pairs:
-each path is keyed by (range, edges), with an empty path at v a prefix of
-every path of range v, and the right factor's terms are indexed by the key
-of alpha and by every proper prefix of it.  The products of one key are
+alpha are prefix-comparable, and the projections of two terms of a
+normalizer are orthogonal only when neither pair of legs is.  One sorted
+sweep finds those pairs: each path is the tuple (range,) + edges, with an
+empty path at v a prefix of every path of range v, and in sorted order
+the prefixes of the current path form a stack.  The products of one key are
 summed unreduced, over the lcm of their denominators, and each sum is
 brought to lowest terms once.  A commutator merges both of its products,
 the second with its sign, into one map and coarsens it once.
@@ -164,16 +165,11 @@ def mono_product(g, m1: CKMono, m2: CKMono):
     return None
 
 
-def refine_children(g, m: CKMono):
-    """One-step child expansion over the in-edges of the common source."""
-    return [_from_key(key) for key in _refine(g, _key(g, m), 1)]
-
-
 def _refine(g, key, depth):
     """The basic set of key cut by every window w of the given length into
     its source: the keys (source of w, alpha w, beta w), in in-edge order."""
     src, a, b = key
-    edges = g.edge_by_id
+    edges = g._edge_by_id
     for w in _walk(g, src, depth):
         yield edges[w[-1]].source if w else src, a + w, b + w
 
@@ -294,37 +290,63 @@ def _forest(g, stem, keys, merged, add, out):
         out[stem] = val[stem]
 
 
+def _leg(rng, src, p):
+    """The path with edges p and source src as the tuple (range,) + edges.
+    An empty path is (src,), a prefix of every path of range src, so one
+    path is a prefix of another exactly when its cylinder holds the other's."""
+    return (rng[p[0]] if p else src,) + p
+
+
+def _sweep(items):
+    """Sort items (path, side, ...), a _leg path and a side 0 or 1, and
+    yield each with the two stacks of the items before it, one per side,
+    whose paths are prefixes of its own.  The consumer reads the stacks
+    before the item joins its side's.
+
+    If p is a prefix of q, every path sorted between them also starts with
+    p.  So the prefixes of the current path form a stack, and each stack
+    pops while its top is not a prefix of the current path.  Each pair of
+    comparable paths is met once, at the one sorted later; of two equal
+    paths, side 0 sorts first."""
+    stacks = [], []
+    items.sort()
+    for item in items:
+        path = item[0]
+        for stack in stacks:
+            while stack and path[:len(stack[-1][0])] != stack[-1][0]:
+                stack.pop()
+        yield item, stacks
+        stacks[item[1]].append(item)
+
+
 def _product_keys(g, *products):
     """The key map of the sum of sign * left * right over the products
     (left, right, sign), with left and right key maps and sign 1 or -1: its
     coefficients in lowest terms, and its zero sums dropped.
 
-    A pair of terms has a nonzero product only when the left beta b1 and
-    the right alpha a2 are prefix-comparable.  Its key is then cut from the
-    two keys (s1, a1, b1) and (s2, a2, b2): (s2, a1 + a2[len(b1):], b2) when
-    b1 is a prefix of a2, and (s1, a1, b2 + b1[len(a2):]) when a2 is a
-    proper prefix of b1.  The products of a key are summed unreduced over
-    the lcm of their denominators, so no sum's denominator is a product of
+    A pair of terms (s1, a1, b1) and (s2, a2, b2) has a nonzero product
+    only when the left beta b1 and the right alpha a2 are prefix-comparable.
+    One _sweep over the right alphas (side 0) and the left betas (side 1)
+    meets each such pair once, each item carrying its key and value.  The
+    pair's key is (s2, a1 + a2[len(b1):], b2) when b1 is shorter than a2,
+    met at the right alpha, and (s1, a1, b2 + b1[len(a2):]) otherwise, met
+    at the left beta.  The products of a key are summed unreduced over the
+    lcm of their denominators, so no sum's denominator is a product of
     theirs, and each sum is reduced once at the end.
     """
     rng, merged = g._range, {}
     get = merged.get
     for left, right, sign in products:
-        exact, extending = {}, {}
-        for (s2, a2, b2), c2 in right.items():
-            if sign < 0:
-                c2 = -c2[0], -c2[1], c2[2]
-            v = rng[a2[0]] if a2 else s2
-            exact.setdefault((v, a2), []).append((b2, c2))
-            for i in range(len(a2)):
-                extending.setdefault((v, a2[:i]), []).append((s2, a2, b2, c2))
-        for (s1, a1, b1), (p, q, d) in left.items():
-            n = len(b1)
-            v = rng[b1[0]] if b1 else s1
-            hits = [((s2, a1 + a2[n:], b2), c2)
-                    for s2, a2, b2, c2 in extending.get((v, b1), ())]
-            for i in range(n + 1):
-                hits += [((s1, a1, b2 + b1[i:]), c2) for b2, c2 in exact.get((v, b1[:i]), ())]
+        items = [(_leg(rng, s, a), 0, s, a, b, c if sign > 0 else (-c[0], -c[1], c[2]))
+                 for (s, a, b), c in right.items()]
+        items += [(_leg(rng, s, b), 1, s, a, b, c) for (s, a, b), c in left.items()]
+        for (_, side, s, a, b, (p, q, d)), (rights, lefts) in _sweep(items):
+            if side and rights:  # a left beta b, after the right alphas a2 that start it
+                hits = [((s, a, b2 + b[len(a2):]), c2) for _, _, _, a2, b2, c2 in rights]
+            elif not side and lefts:  # a right alpha a, after the left betas b1 that start it
+                hits = [((s, a1 + a[len(b1):], b), c1) for _, _, _, a1, b1, c1 in lefts]
+            else:
+                continue
             for key, (r, t, f) in hits:
                 x, y, e = p * r - q * t, p * t + q * r, d * f
                 old = get(key)
@@ -425,7 +447,7 @@ class AlgElement(_Family):
     def coefficient(self, mono) -> GaussianRational:
         """The value .terms holds at mono (ZERO if none), read from its key."""
         a = mono.alpha
-        e = None if a.is_empty else self.graph.edge_by_id.get(a.edges[-1])
+        e = None if a.is_empty else self.graph._edge_by_id.get(a.edges[-1])
         key = (a.anchor if e is None else e.source, a.edges, mono.beta.edges)
         c = self._keys.get(key)
         # The key drops an empty beta's anchor, which must be the source too.
@@ -599,22 +621,33 @@ def support_spectrum(a: AlgElement):
     return SpectrumSet._of_merged(a.graph, dict.fromkeys(a._keys, True))
 
 
-def cylinders_disjoint(g, p: FinPath, q: FinPath) -> bool:
-    """Whether the one-sided sets of infinite paths through p and q miss."""
-    return path_tail_of(g, p, q) is None and path_tail_of(g, q, p) is None
-
-
 def _overlapping_side(a: AlgElement):
-    """Which projections of the first overlapping pair of distinct terms
-    overlap: "initial" (beta) or "final" (alpha); None if none do."""
-    pairs = [(_path(al, src), _path(be, src)) for src, al, be in sorted(a._keys, key=_key_order)]
-    for i, (a1, b1) in enumerate(pairs):
-        for a2, b2 in pairs[i + 1:]:
-            if not cylinders_disjoint(a.graph, b1, b2):
-                return "initial"
-            if not cylinders_disjoint(a.graph, a1, a2):
-                return "final"
-    return None
+    """Which projections of the first overlapping pair of distinct terms in
+    _key_order overlap: "initial" (beta, asked first) or "final" (alpha);
+    None if none do.  Two projections overlap when their paths are
+    prefix-comparable.
+
+    A _sweep of each leg flags every term that meets a nonempty stack, and
+    the stack's top, a partner of it.  That flags every term with a
+    partner: a term with a prefix meets it on the stack, and a term that
+    starts a later path is the top when the next path in sorted order
+    comes, since that path starts with it too.  So the first pair's first
+    term is the least flagged, and all its partners follow it."""
+    rng = a.graph._range
+    keys = sorted(a._keys, key=_key_order)
+    legs = (("initial", [_leg(rng, src, be) for src, _, be in keys]),
+            ("final", [_leg(rng, src, al) for src, al, _ in keys]))
+    flagged = [i for _, leg in legs
+               for (_, _, j), (stack, _) in _sweep([(p, 0, j) for j, p in enumerate(leg)])
+               if stack for i in (j, stack[-1][2])]
+    if not flagged:
+        return None
+    i = min(flagged)
+    for j in range(i + 1, len(keys)):
+        for side, leg in legs:
+            p, q = leg[i], leg[j]
+            if q[:len(p)] == p or p[:len(q)] == q:
+                return side
 
 
 def is_normalizing_pi(a: AlgElement) -> bool:

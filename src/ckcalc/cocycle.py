@@ -120,9 +120,6 @@ class TailedPair(_Record):
     def k(self):
         return len(self.prefix_x) - len(self.prefix_y)
 
-    def swapped(self) -> "TailedPair":
-        return TailedPair(self.prefix_y, self.prefix_x, self.window)
-
 
 def _telescope(f, xw, yw, k, stop) -> Fraction:
     """sum_{j<stop} f(x_j) - sum_{j<stop-k} f(y_j) for the depth-long windows x_j, y_j of xw,

@@ -9,7 +9,9 @@ space over every vertex nonempty.
 
 from __future__ import annotations
 
-from .errors import BadInputError, InvalidGraphError, PreconditionError, _Record
+from types import MappingProxyType
+
+from .errors import BadInputError, InvalidGraphError, PreconditionError, _Immutable, _Record
 
 
 class Edge(_Record):
@@ -36,50 +38,68 @@ class ValidationReport(_Record):
         self._init(ok, no_source_violations, isolated_vertices, order_violations)
 
 
-class Graph:
-    """Immutable vertex/edge structure with the derived lookup maps."""
+class Graph(_Immutable):
+    """Immutable vertex/edge structure with the derived lookup maps.
+
+    edge_by_id is a read-only view of the private map _edge_by_id, which
+    the inner loops read.  Copies and pickles rebuild the graph from its
+    vertices and edges."""
+
+    __slots__ = ("vertices", "edges", "vertex_set", "sources", "_edge_by_id",
+                 "_in", "_out", "_in_ids", "_range", "_max_loop_length")
 
     def __init__(self, vertices, edges):
-        self.vertices = tuple(vertices)
-        self.edges = tuple(edges)
+        vertices, edges = tuple(vertices), tuple(edges)
         vset = set()
-        for v in self.vertices:
+        for v in vertices:
             if not isinstance(v, str) or not v:
                 raise InvalidGraphError("vertex ids must be nonempty strings")
             if v in vset:
                 raise InvalidGraphError("duplicate vertex id %r" % v)
             vset.add(v)
-        self.vertex_set = frozenset(vset)
-        self.edge_by_id = {}
-        ins = {v: [] for v in self.vertices}
-        outs = {v: [] for v in self.vertices}
-        for e in self.edges:
-            if e.id in self.edge_by_id:
+        by_id = {}
+        ins = {v: [] for v in vertices}
+        outs = {v: [] for v in vertices}
+        for e in edges:
+            # Paths sort as tuples of ids, so ids of one type: strings.
+            if not isinstance(e.id, str) or not e.id:
+                raise InvalidGraphError("edge ids must be nonempty strings, not %r" % (e.id,))
+            if e.id in by_id:
                 raise InvalidGraphError("duplicate edge id %r" % e.id)
             if e.range not in vset or e.source not in vset:
                 raise InvalidGraphError("edge %r touches unknown vertex" % e.id)
-            self.edge_by_id[e.id] = e
+            by_id[e.id] = e
             ins[e.range].append(e)
             outs[e.source].append(e)
+        put = object.__setattr__
+        put(self, "vertices", vertices)
+        put(self, "edges", edges)
+        put(self, "vertex_set", frozenset(vset))
+        put(self, "_edge_by_id", by_id)
         # Tuples built once: the path walks ask for them at every step.
-        self._in = {v: tuple(es) for v, es in ins.items()}
-        self._out = {v: tuple(es) for v, es in outs.items()}
+        put(self, "_in", {v: tuple(es) for v, es in ins.items()})
+        put(self, "_out", {v: tuple(es) for v, es in outs.items()})
         # Plain-id tables for the inner loops, which read only checked ids:
         # (in-edge id, its source) per vertex, and edge id -> range.
-        self._in_ids = {v: tuple((e.id, e.source) for e in es) for v, es in ins.items()}
-        self._range = {e.id: e.range for e in self.edges}
+        put(self, "_in_ids", {v: tuple((e.id, e.source) for e in es) for v, es in ins.items()})
+        put(self, "_range", {e.id: e.range for e in edges})
         # Vertices that are the range of no edge, which the algebra excludes.
-        self.sources = tuple(sorted(v for v in self.vertices if not self._in[v]))
-        # Set here, not on first use: on CPython 3.11 an attribute added after
-        # __init__ slows every later attribute lookup on the object by ~8%.
-        self._max_loop_length = None
+        put(self, "sources", tuple(sorted(v for v in vertices if not ins[v])))
+        put(self, "_max_loop_length", None)
+
+    def __reduce__(self):
+        return type(self), (self.vertices, self.edges)
+
+    @property
+    def edge_by_id(self):
+        return MappingProxyType(self._edge_by_id)
 
     @property
     def max_loop_length(self):
         """max_simple_loop_length, searched once per graph: the search is
         exponential in the worst case, and the graph does not change."""
         if self._max_loop_length is None:
-            self._max_loop_length = max_simple_loop_length(self)
+            object.__setattr__(self, "_max_loop_length", max_simple_loop_length(self))
         return self._max_loop_length
 
     def in_edges(self, v):
@@ -91,7 +111,7 @@ class Graph:
 
     def edge(self, edge_id) -> Edge:
         try:
-            return self.edge_by_id[edge_id]
+            return self._edge_by_id[edge_id]
         except (KeyError, TypeError):  # TypeError: an unhashable id
             raise InvalidGraphError("unknown edge id %r" % (edge_id,)) from None
 
@@ -111,36 +131,52 @@ class OrderedGraph(Graph):
 
     It is a Graph itself, built on the same vertices and edges; `graph` keeps
     the plain Graph it was made from, which elements and spectra pin.
+    position is a read-only view of the private map _position.
     """
+
+    __slots__ = ("graph", "order", "order_violations", "adapted", "_position", "_vertex_pos")
 
     def __init__(self, graph: Graph, order):
         super().__init__(graph.vertices, graph.edges)
-        self.graph = graph
-        self.order = tuple(order)
-        self.position = {}
-        for i, eid in enumerate(self.order):
-            if eid not in self.edge_by_id:
+        order = tuple(order)
+        position = {}
+        for i, eid in enumerate(order):
+            if eid not in self._edge_by_id:
                 raise InvalidGraphError("order mentions unknown edge %r" % eid)
-            if eid in self.position:
+            if eid in position:
                 raise InvalidGraphError("order repeats edge %r" % eid)
-            self.position[eid] = i
-        if len(self.order) != len(self.edges):
+            position[eid] = i
+        if len(order) != len(self.edges):
             raise InvalidGraphError("order must list every edge exactly once")
         # Vertices whose in-edges are not an interval of the order.  They are
         # recorded, not rejected, so validate_order can report them; the nest
-        # layer refuses to work unless `adapted`.
-        bad = []
+        # layer refuses to work unless `adapted`.  Sources have no block and
+        # sort after all others, by id.
+        bad, vertex_pos = [], {u: (1, j) for j, u in enumerate(self.sources)}
         for v in sorted(self.vertices):
-            positions = sorted(self.position[e.id] for e in self.in_edges(v))
-            if positions and positions != list(range(positions[0], positions[-1] + 1)):
-                bad.append(v)
-        self.order_violations = tuple(bad)
-        self.adapted = not bad
-        self._vertex_pos = None
+            positions = sorted(position[e.id] for e in self._in[v])
+            if positions:
+                vertex_pos[v] = (0, positions[0])
+                if positions != list(range(positions[0], positions[-1] + 1)):
+                    bad.append(v)
+        put = object.__setattr__
+        put(self, "graph", graph)
+        put(self, "order", order)
+        put(self, "_position", position)
+        put(self, "order_violations", tuple(bad))
+        put(self, "adapted", not bad)
+        put(self, "_vertex_pos", vertex_pos)
+
+    def __reduce__(self):
+        return type(self), (self.graph, self.order)
+
+    @property
+    def position(self):
+        return MappingProxyType(self._position)
 
     def pos(self, edge_id):
         try:
-            return self.position[edge_id]
+            return self._position[edge_id]
         except (KeyError, TypeError):  # TypeError: an unhashable id
             raise InvalidGraphError("unknown edge id %r" % (edge_id,)) from None
 
@@ -150,13 +186,6 @@ class OrderedGraph(Graph):
         Vertices that are the range of no edge (excluded by the no-sources
         assumption) sort after all others, by id.
         """
-        if self._vertex_pos is None:
-            vp = {u: (1, j) for j, u in enumerate(self.sources)}
-            for u in self.vertices:
-                ins = self.in_edges(u)
-                if ins:
-                    vp[u] = (0, min(self.position[e.id] for e in ins))
-            self._vertex_pos = vp
         return self._vertex_pos[v]
 
 

@@ -107,7 +107,7 @@ def _check_chain(g, word):
 
     An unknown edge is reported before a break in the chain.  Each edge is
     one dict lookup: evaluate and the nest spectrum check every point."""
-    edges = g.edge_by_id
+    edges = g._edge_by_id
     try:
         known = edges.keys() >= set(word)
     except TypeError:  # an unhashable id, which g.edge reports

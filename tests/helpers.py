@@ -11,6 +11,11 @@ reference_reconstruct_f is the sampled cocycle round trip that the
 library's check on depth-window pieces replaced.  point_in, value_at and
 convolve read an element as a function on the path groupoid, with their
 own basic-set test, so they check the algebra without its key arithmetic.
+refine_children, cyl_contains, cylinders_disjoint and swapped are the
+one-step refinement, containment, disjointness and prefix swap the tests
+read and the library no longer needs.  reference_product_pairs and
+reference_overlapping_side are the prefix-key index and the all-pairs
+overlap scan that the library's sorted prefix sweep replaced.
 """
 
 import random
@@ -20,7 +25,7 @@ from hypothesis import strategies as st
 
 from ckcalc import bimodule, ckalg
 from ckcalc.ckalg import AlgElement, CKMono
-from ckcalc.cocycle import LocallyConstantFn, eval_cocycle
+from ckcalc.cocycle import LocallyConstantFn, TailedPair, eval_cocycle
 from ckcalc.graph import Edge, Graph, OrderedGraph, _require_no_sources, underlying
 from ckcalc.nest import NestViolation, _atom_place, default_level_bound
 from ckcalc.paths import (
@@ -347,3 +352,67 @@ def convolve(a, b, point):
               and ev_range(g, x) == path_range(g, m.alpha)}
     return sum((value_at(a, GroupoidPoint(x, j, z)) * value_at(b, GroupoidPoint(z, k - j, y))
                 for z, j in splits if sim_k(z, k - j, y)), ZERO)
+
+
+def refine_children(g, m):
+    """The one-step child expansion of a monomial: (alpha e, beta e) over
+    the in-edges e of the common source, in in-edge order."""
+    return [CKMono(FinPath(m.alpha.edges + (e.id,)), FinPath(m.beta.edges + (e.id,)))
+            for e in g.in_edges(path_source(g, m.alpha))]
+
+
+def cyl_contains(g, inner, outer):
+    """True iff the basic set of inner sits inside that of outer."""
+    t1 = ckalg.path_tail_of(g, inner.alpha, outer.alpha)
+    if t1 is None:
+        return False
+    t2 = ckalg.path_tail_of(g, inner.beta, outer.beta)
+    return t2 is not None and t1 == t2
+
+
+def cylinders_disjoint(g, p, q):
+    """Whether the one-sided sets of infinite paths through p and q miss."""
+    return ckalg.path_tail_of(g, p, q) is None and ckalg.path_tail_of(g, q, p) is None
+
+
+def swapped(tp):
+    """The tailed pair with its two prefixes exchanged."""
+    return TailedPair(tp.prefix_y, tp.prefix_x, tp.window)
+
+
+def reference_product_pairs(g, left, right):
+    """The pairs (left key, right key) of two key maps whose left beta and
+    right alpha are prefix-comparable, found with the prefix-key index the
+    library's sorted sweep replaced: each right alpha is indexed by its
+    (range, edges) key and by every proper prefix of it."""
+    rng = g._range
+    exact, extending = {}, {}
+    for key in right:
+        s2, a2, _ = key
+        v = rng[a2[0]] if a2 else s2
+        exact.setdefault((v, a2), []).append(key)
+        for i in range(len(a2)):
+            extending.setdefault((v, a2[:i]), []).append(key)
+    pairs = []
+    for key in left:
+        s1, _, b1 = key
+        v = rng[b1[0]] if b1 else s1
+        pairs += [(key, k2) for k2 in extending.get((v, b1), ())]
+        for i in range(len(b1) + 1):
+            pairs += [(key, k2) for k2 in exact.get((v, b1[:i]), ())]
+    return pairs
+
+
+def reference_overlapping_side(a):
+    """The all-pairs scan the library's sweep replaced: "initial" or
+    "final" for the first pair of distinct terms in listing order whose
+    betas, or else alphas, have overlapping cylinders; None if none do."""
+    legs = [(_path(al, src), _path(be, src))
+            for src, al, be in sorted(a._keys, key=ckalg._key_order)]
+    for i, (a1, b1) in enumerate(legs):
+        for a2, b2 in legs[i + 1:]:
+            if not cylinders_disjoint(a.graph, b1, b2):
+                return "initial"
+            if not cylinders_disjoint(a.graph, a1, a2):
+                return "final"
+    return None

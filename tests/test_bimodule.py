@@ -4,7 +4,6 @@ from ckcalc.bimodule import (
     SpectrumSet,
     bimodule_member,
     ck_in_analytic,
-    cyl_contains,
     generated_spectrum,
     member,
     spectrum_from_json_obj,
@@ -16,7 +15,6 @@ from ckcalc.ckalg import (
     mono_element,
     mono_source,
     path_isometry,
-    refine_children,
     vertex_projection,
 )
 from ckcalc.cocycle import LocallyConstantFn
@@ -34,7 +32,15 @@ from ckcalc.paths import (
 )
 
 from conftest import build_graph
-from helpers import all_monos, counting_check_mono, make_rng, rand_element, random_tail
+from helpers import (
+    all_monos,
+    counting_check_mono,
+    cyl_contains,
+    make_rng,
+    rand_element,
+    random_tail,
+    refine_children,
+)
 
 
 def cyl(*parts):

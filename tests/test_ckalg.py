@@ -1,3 +1,6 @@
+import itertools
+import time
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -10,7 +13,7 @@ from ckcalc.ckalg import (
     af_compression_projections,
     check_mono,
     check_proj_afpart,
-    cylinders_disjoint,
+    diagonal_element,
     element,
     element_from_json_obj,
     element_to_json_obj,
@@ -24,7 +27,6 @@ from ckcalc.ckalg import (
     path_isometry,
     phi_m,
     range_projection,
-    refine_children,
     restricted_norm,
     separating_projections,
     support_spectrum,
@@ -41,11 +43,21 @@ from ckcalc.errors import (
 )
 from ckcalc.graph import underlying, validate
 from ckcalc.nest import commutator, nest_projection
-from ckcalc.paths import GroupoidPoint, empty_path, ev, fpath, prepend
-from ckcalc.scalars import GaussianRational
+from ckcalc.paths import FinPath, GroupoidPoint, _path, empty_path, ev, fpath, prepend
+from ckcalc.scalars import ZERO, GaussianRational
 
 from conftest import build_graph
-from helpers import counting_check_mono, make_rng, rand_element, rand_point, random_graph
+from helpers import (
+    counting_check_mono,
+    cylinders_disjoint,
+    make_rng,
+    rand_element,
+    rand_point,
+    random_graph,
+    reference_overlapping_side,
+    reference_product_pairs,
+    refine_children,
+)
 
 
 def s(g, *edges):
@@ -290,6 +302,91 @@ def test_cylinders_disjoint(o2):
     assert cylinders_disjoint(g, fpath("a"), fpath("b"))
     assert not cylinders_disjoint(g, fpath("a"), fpath("a", "b"))
     assert not cylinders_disjoint(g, empty_path("v"), fpath("a"))
+
+
+def sweep_pairs(g, left, right):
+    """The (left key, right key) pairs the product's sweep meets, with the
+    right alphas on side 0 and the left betas on side 1."""
+    rng = g._range
+    items = [(ckalg._leg(rng, s, a), 0, (s, a, b)) for s, a, b in right]
+    items += [(ckalg._leg(rng, s, b), 1, (s, a, b)) for s, a, b in left]
+    pairs = []
+    for (_, side, key), stacks in ckalg._sweep(items):
+        pairs += [(key, o[2]) if side else (o[2], key) for o in stacks[1 - side]]
+    return pairs
+
+
+def test_sweep_meets_the_pairs_of_the_prefix_index():
+    rng = make_rng(5)
+    met = 0
+    for _ in range(250):
+        g = random_graph(rng, max_vertices=3, sources=False)
+        a = rand_element(g, rng, n_terms=rng.randint(1, 6))
+        b = rand_element(g, rng, n_terms=rng.randint(1, 6))
+        for left, right in ((a, b), (b, a), (a, a)):
+            pairs = reference_product_pairs(g, left._keys, right._keys)
+            assert Counter(sweep_pairs(g, left._keys, right._keys)) == Counter(pairs)
+            met += len(pairs)
+            # The product sums the monomial products of exactly those pairs.
+            want = {}
+            for k1, k2 in pairs:
+                m = mono_product(g, ckalg._from_key(k1), ckalg._from_key(k2))
+                key = ckalg._key(g, m)
+                want[key] = want.get(key, ZERO) + (
+                    left.terms[ckalg._from_key(k1)] * right.terms[ckalg._from_key(k2)])
+            assert ckalg._product_keys(g, (left._keys, right._keys, 1)) == {
+                key: c._triple for key, c in want.items() if not c.is_zero()}
+    assert met > 800
+
+
+def test_overlap_side_matches_the_all_pairs_scan():
+    rng = make_rng(11)
+    seen = Counter()
+    for _ in range(700):
+        g = random_graph(rng, max_vertices=3, sources=False)
+        a = rand_element(g, rng, n_terms=rng.randint(1, 6))
+        side = reference_overlapping_side(a)
+        assert ckalg._overlapping_side(a) == side
+        seen[side] += 1
+        if side is not None:
+            with pytest.raises(UnsupportedNormError, match="^%s projections overlap$" % side):
+                restricted_norm(a)
+    assert min(seen[None], seen["initial"], seen["final"]) > 100, seen
+
+
+def test_restricted_norm_names_the_first_overlapping_pair(o2):
+    def el(*legs):
+        return element(o2, [(CKMono(_path(al, "v"), _path(be, "v")), 1) for al, be in legs])
+
+    cases = [
+        # S_a + S_b: both initial projections are p_v.
+        (el((("a",), ()), (("b",), ())), "initial"),
+        # S_a S_b* + R_a: the betas b and a miss, both alphas are a.
+        (el((("a",), ("b",)), (("a",), ("a",))), "final"),
+        # In listing order (a, a), (a, b), (bb, ba): the first pair overlaps
+        # only in its alphas, though the betas b and ba of the second overlap.
+        (el((("a",), ("a",)), (("a",), ("b",)), (("b", "b"), ("b", "a"))), "final"),
+        (el((("a",), ("b",)), (("b", "b"), ("b", "a"))), "initial"),
+    ]
+    for a, side in cases:
+        assert reference_overlapping_side(a) == side
+        assert not is_normalizing_pi(a)
+        with pytest.raises(UnsupportedNormError, match="^%s projections overlap$" % side):
+            restricted_norm(a)
+
+
+def test_prefix_sweep_scales(o2):
+    """The square of 1 + R_{a^n} meets n + 1 pairs, and a 4,096-term
+    orthogonal sum has no overlap; each took over 12 s with a prefix-key
+    index and an all-pairs scan."""
+    start = time.perf_counter()
+    r = range_projection(o2, FinPath(("a",) * 1600))
+    x = identity(o2) + r
+    assert (x * x)._keys == (x + r.scale(2))._keys
+    words = itertools.product("ab", repeat=12)
+    d = diagonal_element(o2, [(FinPath(w), i + 1) for i, w in enumerate(words)])
+    assert restricted_norm(d) == 4096
+    assert time.perf_counter() - start < 8
 
 
 def test_separating_projections_o2(o2):

@@ -56,6 +56,7 @@ from helpers import (
     random_graph,
     reference_paths_with_source,
     reference_reconstruct_f,
+    swapped,
 )
 
 
@@ -163,7 +164,7 @@ def test_tailed_weight_formula(o2):
     assert eval_cocycle_tailed(f, tp) == 2
     same = TailedPair(fpath("a", "b"), fpath("a", "b"), fpath("b"))
     assert eval_cocycle_tailed(f, same) == 0
-    assert eval_cocycle_tailed(f, tp.swapped()) == -2
+    assert eval_cocycle_tailed(f, swapped(tp)) == -2
     with pytest.raises(WindowTooShortError):
         eval_cocycle_tailed(f, TailedPair(fpath("a"), fpath("b"), FinPath((), anchor="v")))
 

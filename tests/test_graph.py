@@ -1,4 +1,6 @@
+import copy
 import itertools
+import pickle
 
 import pytest
 
@@ -19,7 +21,7 @@ from ckcalc.graph import (
 )
 
 from conftest import build_graph
-from helpers import make_rng
+from helpers import adapted_order, make_rng, random_graph
 
 
 def test_validate_accepts_no_source_graphs(o2, c2, loop3, loop3e, e2):
@@ -51,6 +53,11 @@ def test_duplicate_ids_rejected():
         Graph(["v"], [Edge("a", "v", "v"), Edge("a", "v", "v")])
     with pytest.raises(InvalidGraphError):
         Graph(["v"], [Edge("a", "v", "x")])
+    # Paths sort as tuples of edge ids, so an id that is not a string is
+    # refused before it can meet a string id in a sort.
+    for eid in (1, "", ("a",), ["a"], None):
+        with pytest.raises(InvalidGraphError, match="edge ids must be nonempty strings"):
+            Graph(["v"], [Edge("b", "v", "v"), Edge(eid, "v", "v")])
 
 
 def test_order_must_cover_edges_once(o2):
@@ -215,3 +222,77 @@ def test_edge_tuples_are_built_once(e2):
         assert e2.out_edges(v) is e2.out_edges(v)
         assert e2.in_edges(v) == tuple(e for e in e2.edges if e.range == v)
         assert e2.out_edges(v) == tuple(e for e in e2.edges if e.source == v)
+
+
+def field_names(g):
+    """The graph's slots and its public read-only properties."""
+    return [name for cls in type(g).__mro__ for name, value in vars(cls).items()
+            if name in getattr(cls, "__slots__", ()) or isinstance(value, property)]
+
+
+def test_graphs_refuse_assignment_and_deletion(o2, single_loop):
+    for g in (o2.graph, o2):
+        names = field_names(g)
+        assert {"vertices", "edges", "edge_by_id", "max_loop_length", "_max_loop_length"} <= set(names)
+        for name in names:
+            with pytest.raises(AttributeError, match="immutable"):
+                setattr(g, name, None)
+            with pytest.raises(AttributeError, match="immutable"):
+                delattr(g, name)
+            assert hasattr(g, name)
+        with pytest.raises(AttributeError, match="immutable"):
+            g.extra = 1
+        assert not hasattr(g, "__dict__")
+    assert {"graph", "order", "position", "_vertex_pos"} <= set(field_names(o2))
+    # The lookup tables stay in step with the fields they were built from.
+    with pytest.raises(AttributeError, match="immutable"):
+        single_loop.vertices = ("v", "w")
+    assert has_loop(single_loop) and single_loop.vertices == ("v",)
+
+
+def test_graph_maps_are_read_only(o2):
+    extra = Edge("z", "v", "v")
+    for table, key, value in ((o2.edge_by_id, "z", extra), (o2.graph.edge_by_id, "z", extra),
+                              (o2.position, "z", 2)):
+        with pytest.raises(TypeError):
+            table[key] = value
+        with pytest.raises(TypeError):
+            del table["a"]
+        assert key not in table and "a" in table
+    assert dict(o2.position) == {"a": 0, "b": 1}
+    assert o2.edge("a") is o2.edge_by_id["a"]
+
+
+def graph_answers(g):
+    """Everything a graph answers, as plain values."""
+    out = (g.vertices, g.edges, g.sources, g.vertex_set, dict(g.edge_by_id),
+           has_loop(g), every_loop_has_entrance(g), is_transitive(g),
+           max_simple_loop_length(g), g.max_loop_length, validate(g),
+           [(g.in_edges(v), g.out_edges(v)) for v in g.vertices])
+    if isinstance(g, OrderedGraph):
+        out += (g.order, dict(g.position), g.adapted, g.order_violations, validate_order(g),
+                [g.vertex_pos(v) for v in g.vertices], graph_answers(g.graph))
+    return out
+
+
+@pytest.mark.parametrize("how", ["copy", "deepcopy", "pickle"])
+def test_copied_graphs_answer_as_the_original(how, o2, c2, e2, loop3e):
+    rng = make_rng(52)
+    graphs = [o2, c2, e2, loop3e]
+    for _ in range(60):
+        g = random_graph(rng)
+        order = [e.id for e in g.edges]
+        rng.shuffle(order)
+        graphs += [g, adapted_order(rng, g), OrderedGraph(g, order)]
+    round_trip = {"copy": copy.copy, "deepcopy": copy.deepcopy,
+                  "pickle": lambda g: pickle.loads(pickle.dumps(g))}[how]
+    for g in graphs:
+        y = round_trip(g)
+        assert type(y) is type(g) and y is not g
+        assert graph_answers(y) == graph_answers(g)
+        if isinstance(g, OrderedGraph):
+            assert type(y.graph) is Graph
+    if how != "copy":
+        # An ordered graph and the plain graph it pins come back as one pair.
+        y, plain = round_trip((o2, o2.graph))
+        assert y.graph is plain and y is not o2

@@ -19,7 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import ckcalc
-from ckcalc.bimodule import SpectrumSet, cyl_contains
+from ckcalc.bimodule import SpectrumSet
 from ckcalc.ckalg import (
     AlgElement,
     CKMono,
@@ -29,7 +29,6 @@ from ckcalc.ckalg import (
     normalize,
     phi_m,
     range_projection,
-    refine_children,
     support_spectrum,
 )
 from ckcalc.graph import underlying
@@ -38,11 +37,13 @@ from ckcalc.scalars import GaussianRational
 
 from helpers import (
     all_monos,
+    cyl_contains,
     lpa_coefficients,
     lpa_equal,
     make_rng,
     rand_coeff,
     random_graph,
+    refine_children,
     small_ordered_graphs,
 )
 
