@@ -49,7 +49,10 @@ class Graph(_Immutable):
                  "_in", "_out", "_in_ids", "_range", "_max_loop_length")
 
     def __init__(self, vertices, edges):
-        vertices, edges = tuple(vertices), tuple(edges)
+        try:
+            vertices, edges = tuple(vertices), tuple(edges)
+        except TypeError:
+            raise InvalidGraphError("vertices and edges must be iterables") from None
         vset = set()
         for v in vertices:
             if not isinstance(v, str) or not v:
@@ -61,6 +64,8 @@ class Graph(_Immutable):
         ins = {v: [] for v in vertices}
         outs = {v: [] for v in vertices}
         for e in edges:
+            if not isinstance(e, Edge):
+                raise InvalidGraphError("edges must be Edge records, not %r" % (e,))
             # Paths sort as tuples of ids, so ids of one type: strings.
             if not isinstance(e.id, str) or not e.id:
                 raise InvalidGraphError("edge ids must be nonempty strings, not %r" % (e.id,))
@@ -129,23 +134,33 @@ class Graph(_Immutable):
 class OrderedGraph(Graph):
     """Graph plus a total edge order whose in-edge sets are order intervals.
 
-    It is a Graph itself, built on the same vertices and edges; `graph` keeps
-    the plain Graph it was made from, which elements and spectra pin.
-    position is a read-only view of the private map _position.
+    It is a Graph itself: it adopts the tables of the plain Graph beneath
+    the one it is given, by reference, and builds only its order tables.
+    `graph` is that plain Graph, which elements and spectra pin, even when
+    the ordered graph was built from another ordered graph.  position is a
+    read-only view of the private map _position.
     """
 
     __slots__ = ("graph", "order", "order_violations", "adapted", "_position", "_vertex_pos")
 
     def __init__(self, graph: Graph, order):
-        super().__init__(graph.vertices, graph.edges)
-        order = tuple(order)
-        position = {}
-        for i, eid in enumerate(order):
-            if eid not in self._edge_by_id:
-                raise InvalidGraphError("order mentions unknown edge %r" % eid)
-            if eid in position:
-                raise InvalidGraphError("order repeats edge %r" % eid)
-            position[eid] = i
+        if not isinstance(graph, Graph):
+            raise InvalidGraphError("an edge order needs a Graph, not %s" % type(graph).__name__)
+        graph = underlying(graph)
+        put = object.__setattr__
+        for name in Graph.__slots__:
+            put(self, name, getattr(graph, name))
+        try:
+            order = tuple(order)
+            position = {}
+            for i, eid in enumerate(order):
+                if eid not in self._edge_by_id:
+                    raise InvalidGraphError("order mentions unknown edge %r" % (eid,))
+                if eid in position:
+                    raise InvalidGraphError("order repeats edge %r" % (eid,))
+                position[eid] = i
+        except TypeError:  # an order that is no iterable, or an unhashable entry
+            raise InvalidGraphError("an edge order must list edge ids") from None
         if len(order) != len(self.edges):
             raise InvalidGraphError("order must list every edge exactly once")
         # Vertices whose in-edges are not an interval of the order.  They are
@@ -159,7 +174,6 @@ class OrderedGraph(Graph):
                 vertex_pos[v] = (0, positions[0])
                 if positions != list(range(positions[0], positions[-1] + 1)):
                     bad.append(v)
-        put = object.__setattr__
         put(self, "graph", graph)
         put(self, "order", order)
         put(self, "_position", position)
@@ -186,7 +200,10 @@ class OrderedGraph(Graph):
         Vertices that are the range of no edge (excluded by the no-sources
         assumption) sort after all others, by id.
         """
-        return self._vertex_pos[v]
+        try:
+            return self._vertex_pos[v]
+        except (KeyError, TypeError):  # TypeError: an unhashable id
+            raise InvalidGraphError("unknown vertex id %r" % (v,)) from None
 
 
 def _require_order(graph: Graph, layer):

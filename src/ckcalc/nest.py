@@ -159,9 +159,14 @@ def point_in_spectrum_alg_n(og: OrderedGraph, point: GroupoidPoint):
     """Clause test for a groupoid point against the nest-algebra spectrum.
 
     Besides the strictly-below and unit clauses, an isotropy point (x,k,x)
-    belongs iff some length-|k| block of the periodic tail is s-minimal
-    (k > 0) or s-maximal (k < 0); all cycle rotations are candidate blocks.
-    Returns (member, clause name or None).
+    belongs iff |k| is a multiple of the cycle's length and a length-|k|
+    block of the periodic tail is s-minimal (k > 0) or s-maximal (k < 0).
+    A block is a closed path, so its peers (the paths of its length into
+    its source) start at its own range, and it is the least (greatest) of
+    them iff every edge of it is the least (greatest) in-edge of its range.
+    That reads only the set of the block's edges, which every block shares
+    with the cycle, so the cycle alone decides.  Returns (member, clause
+    name or None).
     """
     _check_nest_graph(og)
     x, k, y = point.x, point.k, point.y
@@ -174,16 +179,12 @@ def point_in_spectrum_alg_n(og: OrderedGraph, point: GroupoidPoint):
         return False, None
     if k == 0:
         return True, "unit"
-    size = abs(k)
-    if size % len(x.cycle) != 0:
+    if abs(k) % len(x.cycle) != 0:
         return False, None
-    start = len(x.prefix)
-    for t in range(len(x.cycle)):
-        block = FinPath(tuple(x.edge_at(start + t + i) for i in range(1, size + 1)))
-        if k > 0 and is_s_minimal(og, block):
-            return True, "s_minimal_block"
-        if k < 0 and is_s_maximal(og, block):
-            return True, "s_maximal_block"
+    if k > 0 and is_s_minimal(og, FinPath(x.cycle)):
+        return True, "s_minimal_block"
+    if k < 0 and is_s_maximal(og, FinPath(x.cycle)):
+        return True, "s_maximal_block"
     return False, None
 
 

@@ -19,6 +19,7 @@ import math
 from .errors import (
     BadInputError,
     ComposeMismatchError,
+    InvalidGraphError,
     InvalidPathError,
     InvalidPointError,
     LengthMismatchError,
@@ -362,6 +363,8 @@ def _walk(g, v, length):
 def continuations(g, v, length):
     """All paths of the given length whose range is v, in edge-list order."""
     _int_arg("path length", length, nonnegative=True)  # else _walk never stops
+    if not isinstance(v, str) or v not in g.vertex_set:  # vertex ids are strings
+        raise InvalidGraphError("unknown vertex id %r" % (v,))
     return [_path(w, v) for w in _walk(g, v, length)]
 
 

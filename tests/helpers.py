@@ -16,6 +16,8 @@ one-step refinement, containment, disjointness and prefix swap the tests
 read and the library no longer needs.  reference_product_pairs and
 reference_overlapping_side are the prefix-key index and the all-pairs
 overlap scan that the library's sorted prefix sweep replaced.
+reference_spectrum_clause is the nest-spectrum clause test that tried every
+rotation of an isotropy point's cycle, which the one-cycle rule replaced.
 """
 
 import random
@@ -38,6 +40,9 @@ from ckcalc.paths import (
     empty_path,
     enumerate_evpaths,
     ev_range,
+    is_s_maximal,
+    is_s_minimal,
+    lex_compare,
     path_range,
     path_source,
     prepend,
@@ -416,3 +421,28 @@ def reference_overlapping_side(a):
             if not cylinders_disjoint(a.graph, a1, a2):
                 return "final"
     return None
+
+
+def reference_spectrum_clause(og, point):
+    """point_in_spectrum_alg_n with every rotation of the cycle as a
+    candidate block: the length-|k| words that start at each place of the
+    periodic tail of x are tested one at a time."""
+    x, k, y = point.x, point.k, point.y
+    cmp = lex_compare(x, y, og)
+    if cmp < 0:
+        return True, "strict_below"
+    if cmp != 0:
+        return False, None
+    if k == 0:
+        return True, "unit"
+    size = abs(k)
+    if size % len(x.cycle) != 0:
+        return False, None
+    start = len(x.prefix)
+    for t in range(len(x.cycle)):
+        block = FinPath(tuple(x.edge_at(start + t + i) for i in range(1, size + 1)))
+        if k > 0 and is_s_minimal(og, block):
+            return True, "s_minimal_block"
+        if k < 0 and is_s_maximal(og, block):
+            return True, "s_maximal_block"
+    return False, None

@@ -46,10 +46,12 @@ from ckcalc.paths import (
     prepend,
     shift_n,
 )
+from ckcalc.scalars import ZERO
 
 from conftest import build_graph
 from helpers import (
     make_rng,
+    point_in,
     rand_element,
     rand_fn,
     rand_point,
@@ -57,6 +59,7 @@ from helpers import (
     reference_paths_with_source,
     reference_reconstruct_f,
     swapped,
+    value_at,
 )
 
 
@@ -425,6 +428,27 @@ def test_graded_projection_splits_by_weight(o2):
     assert cocycle_graded_projection(f, mix, 1) == path_isometry(o2, fpath("a"))
     assert cocycle_graded_projection(f, mix, 0) == path_isometry(o2, fpath("b"))
     assert cocycle_graded_projection(f, mix, 2).is_zero()
+
+
+def test_graded_projection_is_the_element_cut_to_a_cocycle_value():
+    """cocycle_graded_projection(f, a, value) is a restricted to the points
+    where c_f equals value, read at seeded points of the basic sets of a's
+    terms and of the projection's terms."""
+    rng = make_rng(57)
+    checked = Counter()
+    for _ in range(40):
+        g = random_graph(rng, max_vertices=3, max_in=2, sources=False)
+        a = rand_element(g, rng, n_terms=4, max_len=2)
+        f = rand_fn(g, rng, rng.randint(0, 2))
+        points = [point_in(g, m, rng) for m in a.terms for _ in range(4)]
+        values = sorted({eval_cocycle(f, p) for p in points})
+        for value in values + [values[-1] + 1]:
+            cut = cocycle_graded_projection(f, a, value)
+            for p in points + [point_in(g, m, rng) for m in cut.terms]:
+                inside = eval_cocycle(f, p) == value
+                assert value_at(cut, p) == (value_at(a, p) if inside else ZERO), (f.table, p)
+                checked[inside] += 1
+    assert checked[True] > 300 and checked[False] > 300
 
 
 def test_fn_json_round_trip(o2):

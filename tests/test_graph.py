@@ -4,6 +4,7 @@ import pickle
 
 import pytest
 
+from ckcalc.ckalg import identity
 from ckcalc.errors import BadInputError, InvalidGraphError
 from ckcalc.graph import (
     Edge,
@@ -58,6 +59,43 @@ def test_duplicate_ids_rejected():
     for eid in (1, "", ("a",), ["a"], None):
         with pytest.raises(InvalidGraphError, match="edge ids must be nonempty strings"):
             Graph(["v"], [Edge("b", "v", "v"), Edge(eid, "v", "v")])
+
+
+@pytest.mark.parametrize("build", [
+    lambda g: Graph(["v"], [("a", "v", "v")]),
+    lambda g: Graph(None, []),
+    lambda g: Graph(["v"], None),
+    lambda g: OrderedGraph(graph_to_json_obj(g), ["a", "b"]),
+    lambda g: OrderedGraph(None, ["a", "b"]),
+    lambda g: OrderedGraph(g, None),
+    lambda g: OrderedGraph(g, [["a"], "b"]),
+], ids=["edge_not_an_Edge", "vertices_None", "edges_None", "graph_a_dict",
+        "graph_None", "order_None", "order_entry_unhashable"])
+def test_malformed_constructor_input_is_an_invalid_graph(build, o2):
+    with pytest.raises(InvalidGraphError):
+        build(o2.graph)
+
+
+def test_an_ordered_graph_adopts_its_plain_graph(monkeypatch, e2):
+    calls = []
+    init = Graph.__init__
+
+    def counting(self, *args):
+        calls.append(type(self))
+        init(self, *args)
+
+    obj = graph_to_json_obj(e2)
+    monkeypatch.setattr(Graph, "__init__", counting)
+    og = graph_from_json_obj(obj)
+    assert calls == [Graph]
+    assert all(getattr(og, name) is getattr(og.graph, name) for name in Graph.__slots__)
+    # Re-ordering an ordered graph orders its plain graph, so elements
+    # built over either live over one graph and combine.
+    again = OrderedGraph(og, ["h", "c", "d"])
+    assert calls == [Graph] and again.graph is og.graph
+    assert again.order == ("h", "c", "d") and again.vertex_pos("u") < again.vertex_pos("v")
+    total = identity(again) + identity(og.graph)
+    assert total == identity(og) * 2
 
 
 def test_order_must_cover_edges_once(o2):

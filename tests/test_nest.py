@@ -1,3 +1,6 @@
+import itertools
+from collections import Counter
+
 import pytest
 from hypothesis import given, settings
 
@@ -30,15 +33,28 @@ from ckcalc.nest import (
     nest_projection,
     point_in_spectrum_alg_n,
 )
-from ckcalc.paths import GroupoidPoint, empty_path, ev, fpath, prepend
+from ckcalc.paths import (
+    EvPath,
+    GroupoidPoint,
+    empty_path,
+    enumerate_evpaths,
+    ev,
+    fpath,
+    path_source,
+    prepend,
+)
 
 from conftest import build_graph
 from helpers import (
     adapted_order,
     all_monos,
+    in_basic_set,
     make_rng,
+    point_in,
     random_graph,
+    random_tail,
     reference_oracle,
+    reference_spectrum_clause,
     small_ordered_graphs,
 )
 
@@ -250,6 +266,63 @@ def test_spectrum_point_period_mismatch(o2, e2):
     assert point_in_spectrum_alg_n(e2, GroupoidPoint(y, 2, y)) == (True, "s_minimal_block")
     rot = ev((), ("d", "c"))
     assert point_in_spectrum_alg_n(e2, GroupoidPoint(rot, 2, rot)) == (True, "s_minimal_block")
+
+
+def test_one_cycle_decides_isotropy_points_as_every_rotation_does():
+    """At every isotropy point (x, k, x) with 0 < |k| <= 8 over short
+    eventually periodic x, the one-cycle rule gives the answer of the loop
+    over every rotation of the cycle."""
+    rng = make_rng(7)
+    answers = Counter()
+    for _ in range(60):
+        og = adapted_order(rng, random_graph(rng, max_vertices=3, max_in=2, sources=False))
+        for x, k in itertools.product(enumerate_evpaths(og, 1, 4), range(-8, 9)):
+            if k and k % len(x.cycle) == 0:
+                point = GroupoidPoint(x, k, x)
+                got = point_in_spectrum_alg_n(og, point)
+                assert got == reference_spectrum_clause(og, point), (og.order, point)
+                answers[got] += 1
+    assert set(answers) == {(True, "s_minimal_block"), (True, "s_maximal_block"), (False, None)}
+    assert sum(answers.values()) > 5000
+
+
+def _violating_point(og, m, violation, rng):
+    """A point of Z(m) that the oracle's violation separates: the stretch w
+    of the shorter leg that reaches the violation's level, then a random
+    tail.  Its x starts with the violation's row and its y with its col."""
+    a, b = m.alpha.edges, m.beta.edges
+    short, cut = (violation.row.edges, len(a)) if len(a) <= len(b) else (violation.col.edges, len(b))
+    w = short[cut:]
+    tail = random_tail(og, og.source_of(w[-1]) if w else path_source(og, m.alpha), rng)
+    return GroupoidPoint(EvPath(a + w + tail.prefix, tail.cycle), m.degree,
+                         EvPath(b + w + tail.prefix, tail.cycle))
+
+
+def test_in_alg_n_agrees_with_the_spectrum_on_its_basic_set():
+    """A member monomial's basic set lies in the spectrum, checked at seeded
+    points; a non-member's holds a point outside it, found at the level of
+    the oracle's violation."""
+    rng = make_rng(11)
+    members = non_members = 0
+    for _ in range(12):
+        og = adapted_order(rng, random_graph(rng, max_vertices=3, max_in=2, sources=False))
+        for m in all_monos(og, 3):
+            member, _ = in_alg_n(og, m)
+            if member:
+                members += 1
+                for _ in range(3):
+                    point = point_in(og, m, rng)
+                    assert point_in_spectrum_alg_n(og, point)[0], (og.order, m, point)
+            else:
+                non_members += 1
+                oracle_member, violation = in_alg_n_oracle(og, m)
+                assert not oracle_member, (og.order, m)
+                point = _violating_point(og, m, violation, rng)
+                assert in_basic_set(og.graph, point, m)
+                assert point.x.truncation(violation.level) == violation.row.edges
+                assert point.y.truncation(violation.level) == violation.col.edges
+                assert point_in_spectrum_alg_n(og, point) == (False, None), (og.order, m, point)
+    assert members > 500 and non_members > 500
 
 
 def test_radical_spectrum(o2):

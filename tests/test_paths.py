@@ -261,6 +261,18 @@ def test_lex_compare_refuses_an_unknown_edge(o2):
         lex_compare(fpath("a"), fpath("z"), o2)
 
 
+def test_unknown_vertex_ids_are_refused(o2):
+    # Each was a bare KeyError or TypeError, and a length-0 continuation
+    # of an unknown vertex was an empty path at it.
+    for call in (lambda: o2.vertex_pos("zz"), lambda: o2.vertex_pos(["v"]),
+                 lambda: lex_compare(empty_path("zz"), empty_path("v"), o2),
+                 lambda: continuations(o2, "zz", 2), lambda: continuations(o2, "zz", 0),
+                 lambda: continuations(o2.graph, ["v"], 1)):
+        with pytest.raises(InvalidGraphError, match="unknown vertex id"):
+            call()
+    assert continuations(o2.graph, "v", 0) == [empty_path("v")]
+
+
 def test_continuations_order(o2, e2):
     assert [p.edges for p in continuations(o2, "v", 2)] == [
         ("a", "a"), ("a", "b"), ("b", "a"), ("b", "b")
