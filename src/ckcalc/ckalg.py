@@ -104,14 +104,6 @@ class CKMono(_Record):
         object.__setattr__(self, "alpha", alpha)
         object.__setattr__(self, "beta", beta)
 
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.alpha == other.alpha and self.beta == other.beta
-
-    def __hash__(self):
-        return hash((self.alpha, self.beta))
-
     @property
     def degree(self):
         return len(self.alpha) - len(self.beta)

@@ -2,6 +2,8 @@
 
 Every domain error carries a stable machine-readable code."""
 
+from operator import attrgetter
+
 
 class CkError(Exception):
     """Base for all domain errors raised by this package."""
@@ -135,33 +137,33 @@ class _Record(_Immutable):
     __init__, through object.__setattr__ or _init.  An instance equals only
     an instance of its own class with equal fields, hashes as the tuple of
     its fields, and reprs, copies and pickles by its fields (so loading
-    runs __init__ and its checks again).  The classes on hot paths set
-    each field and spell out __eq__ and __hash__ by hand: the loops here
-    would slow them.
+    runs __init__ and its checks again).  Each class reads its fields
+    through one getter, _fields, built once: _fields(x) is the tuple of
+    x's fields.
     """
 
     __slots__ = ()
 
     def __init_subclass__(cls):
-        cls.__match_args__ = cls.__slots__
+        names = cls.__match_args__ = cls.__slots__
+        # An attrgetter of one name returns the bare value, not a 1-tuple.
+        cls._fields = attrgetter(*names) if len(names) > 1 else staticmethod(
+            lambda x: tuple(getattr(x, name) for name in names))
 
     def _init(self, *values):
         for name, value in zip(self.__slots__, values):
             object.__setattr__(self, name, value)
 
-    def _fields(self):
-        return tuple(getattr(self, name) for name in self.__slots__)
-
     def __reduce__(self):
-        return type(self), self._fields()
+        return type(self), self._fields(self)
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
             return NotImplemented
-        return self._fields() == other._fields()
+        return self._fields(self) == self._fields(other)
 
     def __hash__(self):
-        return hash(self._fields())
+        return hash(self._fields(self))
 
     def __repr__(self):
         return "%s(%s)" % (type(self).__qualname__, ", ".join(

@@ -22,14 +22,6 @@ class Edge(_Record):
         object.__setattr__(self, "range", range)
         object.__setattr__(self, "source", source)
 
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.id == other.id and self.range == other.range and self.source == other.source
-
-    def __hash__(self):
-        return hash((self.id, self.range, self.source))
-
 
 class ValidationReport(_Record):
     __slots__ = ("ok", "no_source_violations", "isolated_vertices", "order_violations")
@@ -101,11 +93,13 @@ class Graph(_Immutable):
 
     @property
     def max_loop_length(self):
-        """max_simple_loop_length, searched once per graph: the search is
-        exponential in the worst case, and the graph does not change."""
-        if self._max_loop_length is None:
-            object.__setattr__(self, "_max_loop_length", max_simple_loop_length(self))
-        return self._max_loop_length
+        """max_simple_loop_length, searched once and kept on the plain graph,
+        which every ordering of it shares: the search is exponential in the
+        worst case, and the graph does not change."""
+        graph = underlying(self)
+        if graph._max_loop_length is None:
+            object.__setattr__(graph, "_max_loop_length", max_simple_loop_length(self))
+        return graph._max_loop_length
 
     def in_edges(self, v):
         """Edges whose range is v: the edges a path at v can start with."""

@@ -165,8 +165,10 @@ def point_in_spectrum_alg_n(og: OrderedGraph, point: GroupoidPoint):
     its source) start at its own range, and it is the least (greatest) of
     them iff every edge of it is the least (greatest) in-edge of its range.
     That reads only the set of the block's edges, which every block shares
-    with the cycle, so the cycle alone decides.  Returns (member, clause
-    name or None).
+    with the cycle, so the cycle alone decides.  The multiple rule needs no
+    test here: the cycle is primitive, so x ~k x only when its length
+    divides k, and GroupoidPoint refuses every other (x, k, x).  Returns
+    (member, clause name or None).
     """
     _check_nest_graph(og)
     x, k, y = point.x, point.k, point.y
@@ -179,8 +181,6 @@ def point_in_spectrum_alg_n(og: OrderedGraph, point: GroupoidPoint):
         return False, None
     if k == 0:
         return True, "unit"
-    if abs(k) % len(x.cycle) != 0:
-        return False, None
     if k > 0 and is_s_minimal(og, FinPath(x.cycle)):
         return True, "s_minimal_block"
     if k < 0 and is_s_maximal(og, FinPath(x.cycle)):

@@ -44,14 +44,6 @@ class FinPath(_Record):
         object.__setattr__(self, "edges", edges)
         object.__setattr__(self, "anchor", anchor)
 
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.edges == other.edges and self.anchor == other.anchor
-
-    def __hash__(self):
-        return hash((self.edges, self.anchor))
-
     def __len__(self):
         return len(self.edges)
 
@@ -168,14 +160,6 @@ class EvPath(_Record):
         object.__setattr__(self, "prefix", tuple(prefix))
         object.__setattr__(self, "cycle", tuple(cycle))
 
-    def __eq__(self, other):
-        if not isinstance(other, EvPath):
-            return NotImplemented
-        return self.prefix == other.prefix and self.cycle == other.cycle
-
-    def __hash__(self):
-        return hash((self.prefix, self.cycle))
-
     def __repr__(self):
         return "EvPath(%r + %r*)" % (list(self.prefix), list(self.cycle))
 
@@ -208,9 +192,7 @@ def ev_range(g, x: EvPath):
 
 def shift(x: EvPath) -> EvPath:
     """Drop the first edge."""
-    if x.prefix:
-        return EvPath(x.prefix[1:], x.cycle)
-    return EvPath((), x.cycle[1:] + x.cycle[:1])
+    return shift_n(x, 1)
 
 
 def shift_n(x: EvPath, n) -> EvPath:
@@ -284,14 +266,6 @@ class GroupoidPoint(_Record):
         object.__setattr__(self, "x", x)
         object.__setattr__(self, "k", k)
         object.__setattr__(self, "y", y)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.x == other.x and self.k == other.k and self.y == other.y
-
-    def __hash__(self):
-        return hash((self.x, self.k, self.y))
 
 
 def compose(g1: GroupoidPoint, g2: GroupoidPoint) -> GroupoidPoint:
@@ -406,12 +380,9 @@ def in_cylinder(g, x: EvPath, alpha: FinPath) -> bool:
 
 def point_in_Z(g, point: GroupoidPoint, alpha: FinPath, beta: FinPath) -> bool:
     """Membership of (x,k,y) in the basic set determined by (alpha, beta)."""
-    x, y, a, b = point.x, point.y, alpha.edges, beta.edges
-    if point.k != len(a) - len(b) or x.truncation(len(a)) != a or y.truncation(len(b)) != b:
-        return False
-    if (not a and ev_range(g, x) != alpha.anchor) or (not b and ev_range(g, y) != beta.anchor):
-        return False
-    return len(a) >= _agree_from(x, point.k, y)
+    x, k, y = point.x, point.k, point.y
+    return (k == len(alpha) - len(beta) and in_cylinder(g, x, alpha) and in_cylinder(g, y, beta)
+            and len(alpha) >= _agree_from(x, k, y))
 
 
 def finpath_to_json_obj(p: FinPath):

@@ -20,6 +20,7 @@ reference_spectrum_clause is the nest-spectrum clause test that tried every
 rotation of an isotropy point's cycle, which the one-cycle rule replaced.
 """
 
+import functools
 import random
 from fractions import Fraction
 
@@ -92,16 +93,20 @@ def all_monos(g, max_len):
     """Every monomial with both path lengths at most max_len."""
     g = underlying(g)
     paths = paths_up_to(g, max_len)
-    out = []
-    for a in paths:
-        for b in paths:
-            if path_source(g, a) == path_source(g, b):
-                out.append(CKMono(a, b))
-    return out
+    by_source = {}
+    for p in paths:
+        by_source.setdefault(path_source(g, p), []).append(p)
+    return [CKMono(a, b) for a in paths for b in by_source[path_source(g, a)]]
+
+
+@functools.lru_cache(maxsize=8)
+def _monos_of(g, max_len):
+    """all_monos of a plain graph, listed once for the draws over it."""
+    return tuple(all_monos(g, max_len))
 
 
 def rand_element(g, rng, n_terms=4, max_len=3):
-    monos = all_monos(g, max_len)
+    monos = _monos_of(underlying(g), max_len)
     pairs = [(rng.choice(monos), rand_coeff(rng)) for _ in range(rng.randint(1, n_terms))]
     return AlgElement(underlying(g), pairs)
 

@@ -17,6 +17,7 @@ from ckcalc.cocycle import (
     TailedPair,
     Z10Report,
 )
+from ckcalc.errors import _Record
 from ckcalc.graph import Edge, ValidationReport
 from ckcalc.nest import NestViolation
 from ckcalc.paths import EvPath, GroupoidPoint, empty_path, ev, fpath
@@ -159,6 +160,32 @@ def test_records_equal_only_within_their_class():
     assert Edge("a", "v", "v") != LoopGrowthReport("a", "v", "v")
     assert Z10Report(True, ()) != CKMono(True, ())
     assert len({Edge("a", "v", "v"), LoopGrowthReport("a", "v", "v")}) == 2
+
+
+class Single(_Record):
+    """A record of one field, whose fields are still a 1-tuple."""
+
+    __slots__ = ("value",)
+
+    def __init__(self, value):
+        self._init(value)
+
+
+def test_one_field_records_use_the_tuple_of_their_field():
+    x = Single(fpath("a"))
+    assert fields(x) == (fpath("a"),) and Single._fields(x) == (fpath("a"),)
+    assert hash(x) == hash((fpath("a"),)) != hash(fpath("a"))
+    assert x == Single(fpath("a")) and x != Single(fpath("b"))
+    assert x != (fpath("a"),) and x != fpath("a")
+    for how in ROUND_TRIPS.values():
+        y = how(x)
+        assert type(y) is Single and y == x and hash(y) == hash(x)
+    assert repr(x) == "Single(value=FinPath(a))"
+    match x:
+        case Single(value):
+            assert value == fpath("a")
+        case _:
+            pytest.fail("no positional match")
 
 
 def test_records_match_by_position():

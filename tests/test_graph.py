@@ -268,6 +268,21 @@ def field_names(g):
             if name in getattr(cls, "__slots__", ()) or isinstance(value, property)]
 
 
+def test_the_longest_cycle_is_searched_once_per_plain_graph(monkeypatch, o2):
+    import ckcalc.graph
+
+    searched = []
+
+    def counting(g):
+        searched.append(g)
+        return max_simple_loop_length(g)
+
+    monkeypatch.setattr(ckcalc.graph, "max_simple_loop_length", counting)
+    again = OrderedGraph(o2, ["b", "a"])
+    assert (o2.max_loop_length, o2.graph.max_loop_length, again.max_loop_length) == (1, 1, 1)
+    assert searched == [o2]
+
+
 def test_graphs_refuse_assignment_and_deletion(o2, single_loop):
     for g in (o2.graph, o2):
         names = field_names(g)

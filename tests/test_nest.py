@@ -268,6 +268,20 @@ def test_spectrum_point_period_mismatch(o2, e2):
     assert point_in_spectrum_alg_n(e2, GroupoidPoint(rot, 2, rot)) == (True, "s_minimal_block")
 
 
+def test_isotropy_points_need_the_cycle_length_to_divide_k(e2):
+    """GroupoidPoint(x, k, x) exists exactly when the length of x's cycle
+    divides k, so the spectrum need not test that rule again."""
+    refused = 0
+    for x, k in itertools.product(enumerate_evpaths(e2, 2, 4), range(-8, 9)):
+        if k % len(x.cycle):
+            with pytest.raises(InvalidPointError):
+                GroupoidPoint(x, k, x)
+            refused += 1
+        else:
+            assert GroupoidPoint(x, k, x).k == k
+    assert refused == 268
+
+
 def test_one_cycle_decides_isotropy_points_as_every_rotation_does():
     """At every isotropy point (x, k, x) with 0 < |k| <= 8 over short
     eventually periodic x, the one-cycle rule gives the answer of the loop

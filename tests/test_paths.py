@@ -1,3 +1,5 @@
+from collections import Counter
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -49,7 +51,11 @@ from ckcalc.paths import (
 
 from conftest import build_graph
 from helpers import (
+    all_monos,
+    in_basic_set,
     make_rng,
+    point_in,
+    rand_point,
     random_graph,
     random_tail,
     reference_all_finpaths,
@@ -387,6 +393,34 @@ def test_point_in_Z_reads_the_vertex_of_empty_paths(bridge):
     assert point_in_Z(bridge, point, fpath("c"), empty_path("u"))
     assert not point_in_Z(bridge, point, fpath("c"), empty_path("v"))
     assert not point_in_Z(bridge, GroupoidPoint(x, -1, point.x), empty_path("v"), fpath("c"))
+
+
+def test_point_in_Z_matches_the_basic_set_reference():
+    """point_in_Z agrees with helpers.in_basic_set, which reads the infinite
+    words, for every monomial with paths of length <= 2, at random points
+    and at points drawn inside each of a sample of basic sets."""
+    rng = make_rng(28)
+    answers = Counter()
+    for _ in range(20):
+        g = random_graph(rng, max_vertices=3, max_in=2, sources=False)
+        monos = all_monos(g, 2)
+        points = [rand_point(g, rng) for _ in range(10)]
+        points += [point_in(g, m, rng) for m in rng.sample(monos, min(10, len(monos)))]
+        for point in points:
+            for m in monos:
+                got = point_in_Z(g, point, m.alpha, m.beta)
+                assert got == in_basic_set(g, point, m), (g.edges, point, m)
+                answers[got] += 1
+    assert answers[True] > 500 and answers[False] > 5000
+
+
+def test_shift_drops_the_first_edge(o2, e2, loop3e):
+    rng = make_rng(29)
+    graphs = [o2, e2, loop3e] + [random_graph(rng, sources=False) for _ in range(10)]
+    for g in graphs:
+        for x in enumerate_evpaths(g, 2, 3):
+            assert shift(x) == shift_n(x, 1)
+            assert shift(x).truncation(8) == x.truncation(9)[1:]
 
 
 def test_parse_edge_word():
