@@ -204,7 +204,8 @@ def acyclic_weights(edge_ids):
     Each weight strictly dominates the sum of all smaller ones, which is
     what forces cocycle values built from them to be nonzero whenever the
     two prefixes differ as edge multisets.  The domination inequality is
-    checked, not assumed.
+    checked, not assumed: the weights fall along the list, so the smaller
+    ones are those after each edge, and one running sum holds them.
     """
     edge_ids = list(edge_ids)
     if len(set(edge_ids)) != len(edge_ids):
@@ -212,8 +213,9 @@ def acyclic_weights(edge_ids):
     if not edge_ids:
         raise BadInputError("need at least one edge")
     weights = {e: Fraction(1, 3 ** (i + 1)) for i, e in enumerate(edge_ids)}
+    smaller = sum(weights.values(), Fraction(0))
     for e, w in weights.items():
-        smaller = sum((v for v in weights.values() if v < w), Fraction(0))
+        smaller -= w
         if not w > smaller:
             raise PreconditionError("domination inequality failed at %r" % e)
     return weights
@@ -287,30 +289,6 @@ def integer_obstruction_witness(g, alpha: FinPath, beta: FinPath, ell) -> Obstru
     return ObstructionWitness(
         x=x, y=y, window=ell * k, loop_alpha=alpha, loop_beta=beta
     )
-
-
-class Z10Report(_Record):
-    __slots__ = ("ok", "failures")
-
-    def __init__(self, ok, failures):
-        self._init(ok, failures)
-
-
-def is_z1_0_sampled(f: LocallyConstantFn, samples) -> Z10Report:
-    """Sampled check that the cocycle vanishes exactly on unit points.
-
-    A failure is a unit sample with nonzero value or a non-unit sample with
-    value zero; the report lists every failing (point, value).
-    """
-    failures = []
-    for point in samples:
-        value = eval_cocycle(f, point)
-        is_unit = point.k == 0 and point.x == point.y
-        if is_unit and value != 0:
-            failures.append((point, value))
-        if not is_unit and value == 0:
-            failures.append((point, value))
-    return Z10Report(ok=not failures, failures=tuple(failures))
 
 
 def _cocycle_pieces(g, f: LocallyConstantFn, key):

@@ -291,7 +291,9 @@ def lex_compare(x, y, og: OrderedGraph) -> int:
 
     Finite paths must have equal length; empty paths compare by the vertex
     block order their anchors occupy.  Eventually periodic paths compare
-    edgewise out to a bound beyond which equality is forced by periodicity.
+    edgewise past both prefixes for p + q - gcd(p, q) more edges, p and q
+    the cycle lengths: two words of periods p and q that agree that far
+    agree forever (Fine and Wilf), so no later edge can differ.
     A graph without an edge order raises PreconditionError.
     """
     _require_order(og, "lex compare")
@@ -303,7 +305,8 @@ def lex_compare(x, y, og: OrderedGraph) -> int:
             return (a > b) - (a < b)
         pairs = zip(x.edges, y.edges)
     elif isinstance(x, EvPath) and isinstance(y, EvPath):
-        bound = len(x.prefix) + len(y.prefix) + math.lcm(len(x.cycle), len(y.cycle))
+        p, q = len(x.cycle), len(y.cycle)
+        bound = max(len(x.prefix), len(y.prefix)) + p + q - math.gcd(p, q)
         pairs = zip(x.truncation(bound), y.truncation(bound))
     else:
         raise BadInputError("lex compare needs two paths of the same kind")
@@ -372,17 +375,26 @@ def enumerate_evpaths(g, max_prefix_len, max_cycle_len):
 
 
 def in_cylinder(g, x: EvPath, alpha: FinPath) -> bool:
-    """True iff x starts with alpha (empty alpha: range match)."""
+    """True iff x starts with alpha (empty alpha: range match).
+
+    Both are checked against g first, as evaluate checks its point: an edge
+    g lacks raises InvalidGraphError, and a break in a path InvalidPathError.
+    """
+    check_evpath(g, x)
+    check_finpath(g, alpha)
     if alpha.is_empty:
         return ev_range(g, x) == alpha.anchor
     return x.truncation(len(alpha)) == alpha.edges
 
 
 def point_in_Z(g, point: GroupoidPoint, alpha: FinPath, beta: FinPath) -> bool:
-    """Membership of (x,k,y) in the basic set determined by (alpha, beta)."""
+    """Membership of (x,k,y) in the basic set determined by (alpha, beta).
+
+    Both cylinder tests run, so the point and both paths are checked against
+    g before any answer."""
     x, k, y = point.x, point.k, point.y
-    return (k == len(alpha) - len(beta) and in_cylinder(g, x, alpha) and in_cylinder(g, y, beta)
-            and len(alpha) >= _agree_from(x, k, y))
+    in_x, in_y = in_cylinder(g, x, alpha), in_cylinder(g, y, beta)
+    return k == len(alpha) - len(beta) and in_x and in_y and len(alpha) >= _agree_from(x, k, y)
 
 
 def finpath_to_json_obj(p: FinPath):

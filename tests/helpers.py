@@ -18,9 +18,12 @@ reference_overlapping_side are the prefix-key index and the all-pairs
 overlap scan that the library's sorted prefix sweep replaced.
 reference_spectrum_clause is the nest-spectrum clause test that tried every
 rotation of an isotropy point's cycle, which the one-cycle rule replaced.
+reference_lex_compare compares two eventually periodic paths out to the
+lcm bound that the Fine and Wilf bound replaced.
 """
 
 import functools
+import math
 import random
 from fractions import Fraction
 
@@ -451,3 +454,14 @@ def reference_spectrum_clause(og, point):
         if k < 0 and is_s_maximal(og, block):
             return True, "s_maximal_block"
     return False, None
+
+
+def reference_lex_compare(x, y, og):
+    """lex_compare of two eventually periodic paths, read out to both
+    prefixes plus the lcm of the cycle lengths, where both are periodic
+    with one common period."""
+    bound = len(x.prefix) + len(y.prefix) + math.lcm(len(x.cycle), len(y.cycle))
+    for a, b in zip(x.truncation(bound), y.truncation(bound)):
+        if a != b:
+            return -1 if og.pos(a) < og.pos(b) else 1
+    return 0

@@ -20,14 +20,14 @@ from ckcalc.graph import graph_from_json_obj
 from ckcalc.paths import evpath_from_json_obj
 
 
-O2_GRAPH = {
+O2_PLAIN = {
     "vertices": ["v"],
     "edges": [
         {"id": "a", "range": "v", "source": "v"},
         {"id": "b", "range": "v", "source": "v"},
     ],
-    "order": ["a", "b"],
 }
+O2_GRAPH = dict(O2_PLAIN, order=["a", "b"])
 
 LOOP3_GRAPH = {
     "vertices": ["u", "v", "w"],
@@ -72,6 +72,146 @@ def run(capsys, argv):
     lines = [ln for ln in out.splitlines() if ln.strip()]
     assert len(lines) == 1
     return code, json.loads(lines[0])
+
+
+# The graph files of the pinned rows: O2 (one vertex v, loops a and b) and
+# c2 (one 2-cycle, f1 into 1 and f2 into 2), each plain and ordered.
+C2_PLAIN = {
+    "vertices": ["1", "2"],
+    "edges": [
+        {"id": "f1", "range": "1", "source": "2"},
+        {"id": "f2", "range": "2", "source": "1"},
+    ],
+}
+PIN_GRAPHS = {
+    "o2.json": O2_PLAIN,
+    "o2_ordered.json": O2_GRAPH,
+    "c2.json": C2_PLAIN,
+    "c2_ordered.json": dict(C2_PLAIN, order=["f1", "f2"]),
+}
+
+
+def pin(name, argv, line, inputs=None, status=0):
+    """One pinned row: the argv (a token ending in .json names an input
+    file), the files it reads besides the graphs, its exact stdout line and
+    its exit status."""
+    return pytest.param(argv, inputs or {}, line, status, id=name)
+
+
+# The exact bytes of the paper's answers, as `ckcalc` prints them.
+PINNED = [
+    pin("masa-check-o2", "masa-check --graph o2.json", '{"masa": true, "ok": true}'),
+    pin("cocycle-check", "cocycle-check --graph o2.json --fn fn.json",
+        '{"consistent": true, "failures": 0, "ok": true}',
+        {"fn.json": {"depth": 1, "table": [{"path": ["a"], "value": "1"},
+                                           {"path": ["b"], "value": "-1/2"}]}}),
+    # S_a S_a* - S_a* S_a = R_a - p_v = -R_b on O2: one term.
+    pin("commutator", "commutator --graph o2.json --left s_a.json --right s_a_star.json",
+        '{"element": [{"alpha": ["b"], "anchor": "v", "beta": ["b"], "im": "0", "re": "-1"}], '
+        '"ok": true}',
+        {"s_a.json": S_A, "s_a_star.json": S_A_STAR}),
+    # (S_a/2 + p_v/3)(2p_v/3 - S_a + 4S_a*/5): the S_a terms 1/3 - 1/3 cancel,
+    # R_a gets 4/10 = 2/5 and then the 2/9 of p_v, and R_b keeps 2/9.
+    pin("mul", "mul --graph o2.json --left left.json --right right.json",
+        '{"element": [{"alpha": [], "anchor": "v", "beta": ["a"], "im": "0", "re": "4/15"}, '
+        '{"alpha": ["a"], "anchor": "v", "beta": ["a"], "im": "0", "re": "28/45"}, '
+        '{"alpha": ["b"], "anchor": "v", "beta": ["b"], "im": "0", "re": "2/9"}, '
+        '{"alpha": ["a", "a"], "anchor": "v", "beta": [], "im": "0", "re": "-1/2"}], "ok": true}',
+        {"left.json": [{"alpha": ["a"], "beta": [], "anchor": "v", "re": "1/2"},
+                       {"alpha": [], "beta": [], "anchor": "v", "re": "1/3"}],
+         "right.json": [{"alpha": [], "beta": [], "anchor": "v", "re": "2/3"},
+                        {"alpha": ["a"], "beta": [], "anchor": "v", "re": "-1"},
+                        {"alpha": [], "beta": ["a"], "anchor": "v", "re": "4/5"}]}),
+    # S_a + (1/2 + i) p_v refined to beta length 1, listed in the canonical term order.
+    pin("normalize-depth-1", "normalize --graph o2.json --element element.json --depth 1",
+        '{"element": [{"alpha": ["a"], "anchor": "v", "beta": ["a"], "im": "1", "re": "1/2"}, '
+        '{"alpha": ["b"], "anchor": "v", "beta": ["b"], "im": "1", "re": "1/2"}, '
+        '{"alpha": ["a", "a"], "anchor": "v", "beta": ["a"], "im": "0", "re": "1"}, '
+        '{"alpha": ["a", "b"], "anchor": "v", "beta": ["b"], "im": "0", "re": "1"}], "ok": true}',
+        {"element.json": [{"alpha": ["a"], "beta": [], "anchor": "v", "re": "1"},
+                          {"alpha": [], "beta": [], "anchor": "v", "re": "1/2", "im": "1"}]}),
+    # Every vertex of c2 is the range of one edge, so R_{f2 f1} climbs to p_2.
+    pin("normalize-one-child-chain", "normalize --graph c2.json --element element.json",
+        '{"element": [{"alpha": [], "anchor": "2", "beta": [], "im": "0", "re": "3"}, '
+        '{"alpha": ["f1"], "anchor": "2", "beta": [], "im": "0", "re": "1"}], "ok": true}',
+        {"element.json": [{"alpha": ["f2", "f1"], "beta": ["f2", "f1"], "anchor": "2", "re": "3"},
+                          {"alpha": ["f1"], "beta": [], "anchor": "2", "re": "1"}]}),
+    # The cycle f1 f2 of c2 has no entrance, so the diagonal is not a masa.
+    pin("masa-check-c2", "masa-check --graph c2.json", '{"masa": false, "ok": true}'),
+    # S_a S_b* + i S_b S_a*: unimodular, and neither the betas a, b nor the alphas b, a overlap.
+    pin("normalizer-check-permutation", "normalizer-check --graph o2.json --element perm.json",
+        '{"normalizing": true, "ok": true}',
+        {"perm.json": [{"alpha": ["a"], "beta": ["b"], "anchor": "v", "re": "1"},
+                       {"alpha": ["b"], "beta": ["a"], "anchor": "v", "im": "1"}]}),
+    # S_a + S_b: unimodular, but both initial projections are p_v.
+    pin("normalizer-check-sum", "normalizer-check --graph o2.json --element sum.json",
+        '{"normalizing": false, "ok": true}',
+        {"sum.json": [{"alpha": ["a"], "beta": [], "anchor": "v", "re": "1"},
+                      {"alpha": ["b"], "beta": [], "anchor": "v", "re": "1"}]}),
+    # S_a + (1/2 + i) S_aa S_a* at the isotropy point (a a a ..., 1, a a a ...):
+    # both basic sets hold it, so both coefficients are summed.
+    pin("eval-isotropy",
+        "eval --graph o2.json --element element.json --x-cycle a --k 1 --y-cycle a",
+        '{"ok": true, "value": {"im": "1", "re": "3/2"}}',
+        {"element.json": [{"alpha": ["a"], "beta": [], "anchor": "v", "re": "1"},
+                          {"alpha": ["a", "a"], "beta": ["a"], "anchor": "v", "re": "1/2",
+                           "im": "1"}]}),
+    # On O2, a is the least in-edge of v and b the greatest: (a^inf, 1, a^inf) and
+    # (b^inf, -1, b^inf) are in the spectrum, and (a^inf, -1, a^inf) is not.
+    pin("nest-spectrum-a-1", "nest-spectrum --graph o2_ordered.json --x-cycle a --k 1 --y-cycle a",
+        '{"clause": "s_minimal_block", "member": true, "ok": true}'),
+    pin("nest-spectrum-a-minus-1",
+        "nest-spectrum --graph o2_ordered.json --x-cycle a --k -1 --y-cycle a",
+        '{"clause": null, "member": false, "ok": true}'),
+    pin("nest-spectrum-b-minus-1",
+        "nest-spectrum --graph o2_ordered.json --x-cycle b --k -1 --y-cycle b",
+        '{"clause": "s_maximal_block", "member": true, "ok": true}'),
+    # Each edge of c2 is the only in-edge of its range, so every block is s-maximal.
+    pin("nest-spectrum-c2",
+        "nest-spectrum --graph c2_ordered.json --x-cycle f1,f2 --k -4 --y-cycle f1,f2",
+        '{"clause": "s_maximal_block", "member": true, "ok": true}'),
+    # On O2 with a < b, S_alpha S_beta* is in the nest algebra by one clause each.
+    pin("nest-member-equal_length_le", "nest-member --graph o2_ordered.json --alpha a --beta b",
+        '{"clause": "equal_length_le", "member": true, "ok": true}'),
+    pin("nest-member-head_precedes", "nest-member --graph o2_ordered.json --alpha a,b --beta b",
+        '{"clause": "head_precedes", "member": true, "ok": true}'),
+    pin("nest-member-s_minimal_tail", "nest-member --graph o2_ordered.json --alpha a,a --beta a",
+        '{"clause": "s_minimal_tail", "member": true, "ok": true}'),
+    pin("nest-member-head_follows", "nest-member --graph o2_ordered.json --alpha a --beta b,a",
+        '{"clause": "head_follows", "member": true, "ok": true}'),
+    pin("nest-member-s_maximal_tail", "nest-member --graph o2_ordered.json --alpha b --beta b,b",
+        '{"clause": "s_maximal_tail", "member": true, "ok": true}'),
+    pin("nest-member-none", "nest-member --graph o2_ordered.json --alpha b --beta a",
+        '{"clause": null, "member": false, "ok": true}'),
+    # S_b S_a* is not: the oracle's witness compresses it at level 1, row b and column a.
+    pin("nest-oracle-witness", "nest-oracle --graph o2_ordered.json --alpha b --beta a",
+        '{"member": false, "ok": true, "witness": {"col": {"edges": ["a"]}, "cut": 1, '
+        '"level": 1, "row": {"edges": ["b"]}}}'),
+    # The README's example: the bound K = 4 finds the same witness.
+    pin("nest-oracle-readme", "nest-oracle --graph o2_ordered.json --alpha b --beta a --K 4",
+        '{"member": false, "ok": true, "witness": {"col": {"edges": ["a"]}, "cut": 1, '
+        '"level": 1, "row": {"edges": ["b"]}}}'),
+    pin("nest-oracle-member", "nest-oracle --graph o2_ordered.json --alpha a,a --beta a",
+        '{"member": true, "ok": true, "witness": null}'),
+    # Errors are one line on stdout with exit status 1, not a traceback.
+    pin("gauge-root-3", "gauge --graph o2.json --element s_a.json --root 3 --power 1",
+        '{"error": {"code": "unsupported_root", "message": "rotation order 3 has no exact '
+        'representation"}, "ok": false}',
+        {"s_a.json": S_A}, status=1),
+    pin("nest-oracle-negative-K",
+        "nest-oracle --graph o2_ordered.json --alpha a --beta b --K -1",
+        '{"error": {"code": "bad_input", "message": "level bound must be a nonnegative integer, '
+        'not -1"}, "ok": false}', status=1),
+]
+
+
+@pytest.mark.parametrize("argv, inputs, line, status", PINNED)
+def test_pinned_output_bytes(tmp_path, capsys, argv, inputs, line, status):
+    for name, obj in {**PIN_GRAPHS, **inputs}.items():
+        (tmp_path / name).write_text(json.dumps(obj), encoding="utf-8")
+    argv = [str(tmp_path / a) if a.endswith(".json") else a for a in argv.split()]
+    assert main(argv) == status
+    assert capsys.readouterr() == (line + "\n", "")
 
 
 def test_validate(ws, capsys):

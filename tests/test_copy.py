@@ -15,7 +15,6 @@ from ckcalc.cocycle import (
     LoopGrowthReport,
     ObstructionWitness,
     TailedPair,
-    Z10Report,
 )
 from ckcalc.errors import _Record
 from ckcalc.graph import Edge, ValidationReport
@@ -55,9 +54,6 @@ def records():
                             fpath("b")),
          "ObstructionWitness(x=EvPath(['a'] + ['b']*), y=EvPath(['b', 'a'] + ['b']*), "
          "window=2, loop_alpha=FinPath(a), loop_beta=FinPath(b))"),
-        (Z10Report(False, ((GroupoidPoint(a_inf, 0, a_inf), Fraction(1)),)),
-         "Z10Report(ok=False, failures=((GroupoidPoint(x=EvPath([] + ['a']*), k=0, "
-         "y=EvPath([] + ['a']*)), Fraction(1, 1)),))"),
         (NestViolation(1, 2, fpath("b"), fpath("a")),
          "NestViolation(level=1, cutpos=2, row=FinPath(b), col=FinPath(a))"),
     ]
@@ -158,7 +154,6 @@ def test_records_equal_only_within_their_class():
             assert (x == y) == (x is y)
     # Equal field tuples do not make records of two classes equal.
     assert Edge("a", "v", "v") != LoopGrowthReport("a", "v", "v")
-    assert Z10Report(True, ()) != CKMono(True, ())
     assert len({Edge("a", "v", "v"), LoopGrowthReport("a", "v", "v")}) == 2
 
 

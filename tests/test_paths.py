@@ -1,9 +1,13 @@
+import os
+import subprocess
+import sys
 from collections import Counter
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import ckcalc
 from ckcalc.errors import (
     BadInputError,
     ComposeMismatchError,
@@ -51,6 +55,7 @@ from ckcalc.paths import (
 
 from conftest import build_graph
 from helpers import (
+    adapted_order,
     all_monos,
     in_basic_set,
     make_rng,
@@ -61,6 +66,7 @@ from helpers import (
     reference_all_finpaths,
     reference_continuations,
     reference_enumerate_evpaths,
+    reference_lex_compare,
     reference_paths_with_source,
     reference_primitive_loops,
     small_ordered_graphs,
@@ -267,6 +273,44 @@ def test_lex_compare_refuses_an_unknown_edge(o2):
         lex_compare(fpath("a"), fpath("z"), o2)
 
 
+def test_lex_compare_matches_the_lcm_reference(o2, e2):
+    """lex_compare, read to the Fine and Wilf bound, agrees with the lcm
+    bound on every pair of paths with prefixes up to 3 and cycles up to 4
+    edges, over O2, e2 and seeded random adapted graphs."""
+    rng = make_rng(29)
+    graphs = [o2, e2] + [adapted_order(rng, random_graph(rng, 3, 2, sources=False))
+                         for _ in range(4)]
+    pairs = 0
+    for og in graphs:
+        xs = enumerate_evpaths(og, 3, 4)
+        for x in xs:
+            for y in xs:
+                assert lex_compare(x, y, og) == reference_lex_compare(x, y, og), (x, y)
+        pairs += len(xs) ** 2
+    assert pairs > 50000
+
+
+# Compares paths with cycles of 10,000 and 10,001 edges on O2 under an
+# address-space limit: the lcm bound would build tuples of about 10^8 edges.
+LONG_CYCLES = """
+import resource
+resource.setrlimit(resource.RLIMIT_AS, (600 << 20, 600 << 20))
+from ckcalc.graph import Edge, Graph, OrderedGraph
+from ckcalc.paths import ev, lex_compare
+o2 = OrderedGraph(Graph(["v"], [Edge("a", "v", "v"), Edge("b", "v", "v")]), ["a", "b"])
+x, y = ev((), ("a",) * 9999 + ("b",)), ev((), ("a",) * 9999 + ("b", "b"))
+print(lex_compare(x, y, o2), lex_compare(y, x, o2), lex_compare(x, x, o2))
+"""
+
+
+def test_lex_compare_reads_long_coprime_cycles_in_bounded_memory():
+    # x and y first differ at edge 10,001, a of x against b of y.
+    src = os.path.dirname(os.path.dirname(ckcalc.__file__))
+    run = subprocess.run([sys.executable, "-c", LONG_CYCLES], capture_output=True, text=True,
+                         timeout=60, env=dict(os.environ, PYTHONPATH=src))
+    assert (run.returncode, run.stderr, run.stdout) == (0, "", "-1 1 0\n")
+
+
 def test_unknown_vertex_ids_are_refused(o2):
     # Each was a bare KeyError or TypeError, and a length-0 continuation
     # of an unknown vertex was an empty path at it.
@@ -393,6 +437,48 @@ def test_point_in_Z_reads_the_vertex_of_empty_paths(bridge):
     assert point_in_Z(bridge, point, fpath("c"), empty_path("u"))
     assert not point_in_Z(bridge, point, fpath("c"), empty_path("v"))
     assert not point_in_Z(bridge, GroupoidPoint(x, -1, point.x), empty_path("v"), fpath("c"))
+
+
+Z_INF, A_INF = ev((), ("z",)), ev((), ("a",))
+CH_INF = ev((), ("c", "h"))  # not a path: the range of h is u, not v, the source of c
+
+
+def refusal(name, graph, call, error):
+    return pytest.param(graph, call, error, id=name)
+
+
+@pytest.mark.parametrize("graph, call, error", [
+    refusal("cylinder-unknown-edge", "o2", lambda g: in_cylinder(g, Z_INF, fpath("z")),
+            InvalidGraphError),
+    refusal("cylinder-unknown-alpha", "o2", lambda g: in_cylinder(g, A_INF, fpath("z")),
+            InvalidGraphError),
+    refusal("cylinder-unknown-anchor", "o2", lambda g: in_cylinder(g, A_INF, empty_path("w")),
+            InvalidPathError),
+    refusal("cylinder-broken-alpha", "e2",
+            lambda g: in_cylinder(g, ev((), ("h",)), fpath("h", "d")), InvalidPathError),
+    refusal("cylinder-broken-path", "e2", lambda g: in_cylinder(g, CH_INF, fpath("c")),
+            InvalidPathError),
+    refusal("basic-set-unknown-edge", "o2",
+            lambda g: point_in_Z(g, GroupoidPoint(Z_INF, 0, Z_INF), fpath("z"), fpath("z")),
+            InvalidGraphError),
+    refusal("basic-set-unknown-point", "o2",
+            lambda g: point_in_Z(g, GroupoidPoint(Z_INF, 0, Z_INF), fpath("a"), fpath("a")),
+            InvalidGraphError),
+    refusal("basic-set-unknown-beta", "o2",
+            lambda g: point_in_Z(g, GroupoidPoint(A_INF, 0, A_INF), fpath("a"), fpath("z")),
+            InvalidGraphError),
+    refusal("basic-set-unknown-alpha-wrong-degree", "o2",
+            lambda g: point_in_Z(g, GroupoidPoint(A_INF, 1, A_INF), fpath("z"), fpath("a")),
+            InvalidGraphError),
+    refusal("basic-set-broken-point", "e2",
+            lambda g: point_in_Z(g, GroupoidPoint(CH_INF, 0, CH_INF), fpath("c"), fpath("c")),
+            InvalidPathError),
+])
+def test_cylinder_tests_refuse_paths_outside_the_graph(request, graph, call, error):
+    """in_cylinder and point_in_Z check the point and the paths against the
+    graph before answering, as evaluate does."""
+    with pytest.raises(error):
+        call(request.getfixturevalue(graph))
 
 
 def test_point_in_Z_matches_the_basic_set_reference():
