@@ -748,21 +748,31 @@ def element_to_json_obj(a: AlgElement):
     return out
 
 
+def mono_from_words(g, alpha, beta, anchor=None) -> CKMono:
+    """The checked monomial of two edge words; an empty word sits at anchor.
+
+    When exactly one word is empty, the anchor defaults to the source of the
+    other, so it is needed only when both are empty.  A given anchor must be
+    the common source.  The CLI flags and the JSON terms both read here.
+    """
+    if anchor is None and bool(alpha) != bool(beta):
+        anchor = g.source_of((alpha or beta)[-1])
+    m = CKMono(_path(alpha, anchor), _path(beta, anchor))
+    check_mono(g, m)
+    src = mono_source(g, m)
+    if anchor is not None and anchor != src:
+        raise BadInputError("anchor %r is not the common source %r" % (anchor, src))
+    return m
+
+
 def mono_from_json_obj(g, item) -> CKMono:
     if not isinstance(item, dict) or "alpha" not in item or "beta" not in item:
         raise BadInputError("monomial JSON needs alpha and beta")
     anchor = item.get("anchor")
     if anchor is not None and not isinstance(anchor, str):
         raise BadInputError("anchor must be a string")
-    m = CKMono(
-        _path(strings_from_json_obj(item["alpha"], "alpha"), anchor),
-        _path(strings_from_json_obj(item["beta"], "beta"), anchor),
-    )
-    check_mono(g, m)
-    src = mono_source(g, m)
-    if anchor is not None and anchor != src:
-        raise BadInputError("anchor %r is not the common source %r" % (anchor, src))
-    return m
+    return mono_from_words(g, strings_from_json_obj(item["alpha"], "alpha"),
+                           strings_from_json_obj(item["beta"], "beta"), anchor)
 
 
 def element_from_json_obj(g, obj) -> AlgElement:

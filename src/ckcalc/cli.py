@@ -48,42 +48,6 @@ def _load_json(path):
         raise BadInputError("%s nests its JSON too deeply" % path) from None
 
 
-def _finpath_arg(g, word_text, anchor, side):
-    word = paths.parse_edge_word(word_text)
-    if word:
-        p = paths.FinPath(word)
-        paths.check_finpath(g, p)
-        return p
-    if anchor is None:
-        raise BadInputError("empty %s path needs --anchor" % side)
-    return paths.empty_path(anchor)
-
-
-def _mono_from_args(args):
-    """Build the (alpha, beta) pair from --alpha/--beta words.
-
-    When exactly one side is empty its anchor defaults to the source of the
-    other side, so --anchor is only needed for the doubly empty monomial.
-    """
-    g = args.graph
-    alpha_word = paths.parse_edge_word(args.alpha)
-    beta_word = paths.parse_edge_word(args.beta)
-    anchor = args.anchor
-    if anchor is None:
-        if alpha_word and not beta_word:
-            anchor = paths.path_source(g, paths.FinPath(alpha_word))
-        elif beta_word and not alpha_word:
-            anchor = paths.path_source(g, paths.FinPath(beta_word))
-    m = ckalg.CKMono(
-        _finpath_arg(g, args.alpha, anchor, "alpha"),
-        _finpath_arg(g, args.beta, anchor, "beta"),
-    )
-    ckalg.check_mono(g, m)
-    if anchor is not None and anchor != ckalg.mono_source(g, m):
-        raise BadInputError("--anchor %s is not the source of the words" % anchor)
-    return m
-
-
 def _evpath_from_args(g, prefix_text, cycle_text, side):
     cycle = paths.parse_edge_word(cycle_text)
     if not cycle:
@@ -137,7 +101,7 @@ def _element_file(name):
 
 
 def _loop_word(name, help):
-    return _arg("--" + name, lambda a: _finpath_arg(a.graph, getattr(a, name), None, name),
+    return _arg("--" + name, lambda a: paths.FinPath(paths.parse_edge_word(getattr(a, name))),
                 required=True, help=help)
 
 
@@ -152,7 +116,8 @@ MONO = Input("mono", (
     ("--alpha", dict(required=True, help=_WORD_HELP)),
     ("--beta", dict(required=True, help=_WORD_HELP)),
     ("--anchor", dict(help="vertex for empty paths")),
-), _mono_from_args)
+), lambda a: ckalg.mono_from_words(a.graph, paths.parse_edge_word(a.alpha),
+                                   paths.parse_edge_word(a.beta), a.anchor))
 POINT = Input("point", (
     ("--x-prefix", dict(default="", help="prefix edge word of x")),
     ("--x-cycle", dict(required=True, help="cycle edge word of x")),

@@ -18,7 +18,6 @@ from .ckalg import (
     _same_graph,
     check_mono,
     mono_source,
-    path_tail_of,
 )
 from .errors import OutOfRangeError, PreconditionError, _int_arg, _Record
 from .graph import OrderedGraph, _require_no_sources, _require_order
@@ -85,29 +84,31 @@ def nest_projection(og: OrderedGraph, level, cutpos) -> AlgElement:
         og.graph, {(path_source(og, p), p.edges, p.edges): ONE._triple for p in atoms[:cutpos]})
 
 
-def _head(og, p: FinPath, length) -> FinPath:
-    return _path(p.edges[:length], path_range(og, p))
-
-
 def in_alg_n(og: OrderedGraph, m: CKMono):
-    """Five-clause membership test; returns (member, clause name or None)."""
+    """Five-clause membership test; returns (member, clause name or None).
+
+    One comparison of the heads, the first n edges of each word for n the
+    shorter length, decides: alpha's head above beta's is never a member,
+    equal lengths are then a member, and otherwise a smaller alpha head is
+    one (head_precedes if alpha is longer, head_follows if beta is), while
+    equal heads leave it to the longer word's tail."""
     _check_nest_graph(og)
     check_mono(og, m)
     a, b = m.alpha, m.beta
-    if len(a) == len(b) and lex_compare(a, b, og) <= 0:
+    n = min(len(a), len(b))
+    ka = _level_key(og, a.edges[:n], path_range(og, a))
+    kb = _level_key(og, b.edges[:n], path_range(og, b))
+    if ka > kb:
+        return False, None
+    if len(a) == len(b):
         return True, "equal_length_le"
-    if len(a) >= len(b) and lex_compare(_head(og, a, len(b)), b, og) < 0:
-        return True, "head_precedes"
+    if ka < kb:
+        return True, "head_precedes" if len(a) > len(b) else "head_follows"
     if len(a) > len(b):
-        tail = path_tail_of(og, a, b)
-        if tail is not None and not tail.is_empty and is_s_minimal(og, tail):
+        if is_s_minimal(og, FinPath(a.edges[n:])):
             return True, "s_minimal_tail"
-    if len(b) >= len(a) and lex_compare(a, _head(og, b, len(a)), og) < 0:
-        return True, "head_follows"
-    if len(b) > len(a):
-        tail = path_tail_of(og, b, a)
-        if tail is not None and not tail.is_empty and is_s_maximal(og, tail):
-            return True, "s_maximal_tail"
+    elif is_s_maximal(og, FinPath(b.edges[n:])):
+        return True, "s_maximal_tail"
     return False, None
 
 

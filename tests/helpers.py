@@ -19,7 +19,9 @@ overlap scan that the library's sorted prefix sweep replaced.
 reference_spectrum_clause is the nest-spectrum clause test that tried every
 rotation of an isotropy point's cycle, which the one-cycle rule replaced.
 reference_lex_compare compares two eventually periodic paths out to the
-lcm bound that the Fine and Wilf bound replaced.
+lcm bound that the Fine and Wilf bound replaced.  reference_in_alg_n is the
+clause-by-clause nest membership test that one comparison of the heads
+replaced.
 """
 
 import functools
@@ -465,3 +467,27 @@ def reference_lex_compare(x, y, og):
         if a != b:
             return -1 if og.pos(a) < og.pos(b) else 1
     return 0
+
+
+def reference_in_alg_n(og, m):
+    """in_alg_n on a checked monomial, trying the five clauses in turn, each
+    with its own head cut and lex_compare."""
+    def head(p, length):
+        return _path(p.edges[:length], path_range(og, p))
+
+    a, b = m.alpha, m.beta
+    if len(a) == len(b) and lex_compare(a, b, og) <= 0:
+        return True, "equal_length_le"
+    if len(a) >= len(b) and lex_compare(head(a, len(b)), b, og) < 0:
+        return True, "head_precedes"
+    if len(a) > len(b):
+        tail = ckalg.path_tail_of(og, a, b)
+        if tail is not None and not tail.is_empty and is_s_minimal(og, tail):
+            return True, "s_minimal_tail"
+    if len(b) >= len(a) and lex_compare(a, head(b, len(a)), og) < 0:
+        return True, "head_follows"
+    if len(b) > len(a):
+        tail = ckalg.path_tail_of(og, b, a)
+        if tail is not None and not tail.is_empty and is_s_maximal(og, tail):
+            return True, "s_maximal_tail"
+    return False, None

@@ -13,11 +13,13 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import ckcalc
+from ckcalc import nest
 from ckcalc.bimodule import spectrum_from_json_obj
+from ckcalc.ckalg import CKMono, element_from_json_obj, mono_from_json_obj
 from ckcalc.cli import build_parser, main
-from ckcalc.errors import BadInputError
+from ckcalc.errors import BadInputError, CkError
 from ckcalc.graph import graph_from_json_obj
-from ckcalc.paths import evpath_from_json_obj
+from ckcalc.paths import empty_path, evpath_from_json_obj, fpath
 
 
 O2_PLAIN = {
@@ -183,6 +185,11 @@ PINNED = [
         '{"clause": "s_maximal_tail", "member": true, "ok": true}'),
     pin("nest-member-none", "nest-member --graph o2_ordered.json --alpha b --beta a",
         '{"clause": null, "member": false, "ok": true}'),
+    # With one word empty, the anchor defaults to the source of the other.
+    pin("nest-member-default-anchor-beta", "nest-member --graph o2_ordered.json --alpha a --beta=",
+        '{"clause": "s_minimal_tail", "member": true, "ok": true}'),
+    pin("nest-member-default-anchor-alpha", "nest-member --graph o2_ordered.json --alpha= --beta b",
+        '{"clause": "s_maximal_tail", "member": true, "ok": true}'),
     # S_b S_a* is not: the oracle's witness compresses it at level 1, row b and column a.
     pin("nest-oracle-witness", "nest-oracle --graph o2_ordered.json --alpha b --beta a",
         '{"member": false, "ok": true, "witness": {"col": {"edges": ["a"]}, "cut": 1, '
@@ -371,6 +378,45 @@ def test_anchor_must_be_the_source_of_the_words(ws, capsys):
     assert code == 0 and out["member"] is True
     code, out = run(capsys, argv + ["--anchor", "zzz"])
     assert code == 1 and out["error"]["code"] == "bad_input"
+
+
+@pytest.mark.parametrize("alpha, beta, anchor, want", [
+    ("a", "", None, CKMono(fpath("a"), empty_path("v"))),
+    ("", "b", None, CKMono(empty_path("v"), fpath("b"))),
+    ("", "", "v", CKMono(empty_path("v"), empty_path("v"))),
+    ("", "", None, "bad_input"),
+    ("a", "b", "zzz", "bad_input"),
+    ("z", "", None, "invalid_graph"),
+    ("", "", "w", "invalid_path"),
+])
+def test_flags_and_files_read_a_monomial_by_one_rule(ws, capsys, monkeypatch, alpha, beta,
+                                                     anchor, want):
+    """The --alpha/--beta/--anchor flags and a JSON term give the same
+    monomial, or the same error code, on ordered O2."""
+    seen = []
+    real = nest.in_alg_n
+    monkeypatch.setattr(nest, "in_alg_n", lambda og, m: seen.append(m) or real(og, m))
+    argv = ["nest-member", "--graph", ws["o2"], "--alpha", alpha, "--beta", beta]
+    code, out = run(capsys, argv + ([] if anchor is None else ["--anchor", anchor]))
+    term = {"alpha": [w for w in alpha.split(",") if w], "beta": [w for w in beta.split(",") if w]}
+    if anchor is not None:
+        term["anchor"] = anchor
+    try:
+        got = mono_from_json_obj(graph_from_json_obj(O2_GRAPH), term)
+    except CkError as exc:
+        got = exc.code
+    if isinstance(want, str):
+        assert (code, out["error"]["code"], seen, got) == (1, want, [], want)
+    else:
+        assert (code, seen, got) == (0, [want], want)
+
+
+def test_a_file_term_with_one_empty_word_may_leave_out_its_anchor():
+    g = graph_from_json_obj(O2_PLAIN)
+    for term in S_A + S_A_STAR:
+        bare = {k: v for k, v in term.items() if k != "anchor"}
+        assert element_from_json_obj(g, [bare]) == element_from_json_obj(g, [term])
+        assert mono_from_json_obj(g, bare) == mono_from_json_obj(g, term)
 
 
 def test_nest_member_requires_order(ws, capsys):

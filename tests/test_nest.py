@@ -53,6 +53,7 @@ from helpers import (
     point_in,
     random_graph,
     random_tail,
+    reference_in_alg_n,
     reference_oracle,
     reference_spectrum_clause,
     small_ordered_graphs,
@@ -213,6 +214,20 @@ def test_in_alg_n_matches_oracle_smoke(o2):
         member, _ = in_alg_n(o2, m)
         oracle_member, _ = in_alg_n_oracle(o2, m)
         assert member == oracle_member, m
+
+
+def test_in_alg_n_matches_the_clause_by_clause_reference():
+    """One comparison of the heads gives the answer and the clause of the
+    five clauses tried in turn, on every monomial of length at most 3."""
+    rng = make_rng(7)
+    outcomes = Counter()
+    for _ in range(20):
+        og = adapted_order(rng, random_graph(rng, max_in=3, sources=False))
+        for m in all_monos(og, 3):
+            answer = in_alg_n(og, m)
+            assert answer == reference_in_alg_n(og, m), (og.order, m)
+            outcomes[answer] += 1
+    assert len(outcomes) == 6 and min(outcomes.values()) > 100, outcomes
 
 
 def test_oracle_matches_the_full_scan_on_random_graphs():
