@@ -718,7 +718,7 @@ def af_compression_projections(g, e: CKMono, k):
     """Chain two separating-projection searches: the returned pair (p, q)
     compresses any bounded element to its degree-zero part, q a p = q phi_0(a) p."""
     first = separating_projections(g, e, k)
-    bridge = mono_product(g, first.p, e.adjoint())
+    bridge = CKMono(first.p.alpha, first.q.alpha)  # p e* = S_{beta pi w} S_{alpha pi w}*
     second = separating_projections(g, bridge, k)
     return second.q, second.p
 

@@ -135,7 +135,8 @@ class OrderedGraph(Graph):
     read-only view of the private map _position.
     """
 
-    __slots__ = ("graph", "order", "order_violations", "adapted", "_position", "_vertex_pos")
+    __slots__ = ("graph", "order", "order_violations", "adapted", "_position", "_vertex_pos",
+                 "_extreme_in")
 
     def __init__(self, graph: Graph, order):
         if not isinstance(graph, Graph):
@@ -161,11 +162,12 @@ class OrderedGraph(Graph):
         # recorded, not rejected, so validate_order can report them; the nest
         # layer refuses to work unless `adapted`.  Sources have no block and
         # sort after all others, by id.
-        bad, vertex_pos = [], {u: (1, j) for j, u in enumerate(self.sources)}
+        bad, vertex_pos, extreme_in = [], {u: (1, j) for j, u in enumerate(self.sources)}, {}
         for v in sorted(self.vertices):
             positions = sorted(position[e.id] for e in self._in[v])
             if positions:
                 vertex_pos[v] = (0, positions[0])
+                extreme_in[v] = (order[positions[0]], order[positions[-1]])  # least, greatest
                 if positions != list(range(positions[0], positions[-1] + 1)):
                     bad.append(v)
         put(self, "graph", graph)
@@ -174,6 +176,7 @@ class OrderedGraph(Graph):
         put(self, "order_violations", tuple(bad))
         put(self, "adapted", not bad)
         put(self, "_vertex_pos", vertex_pos)
+        put(self, "_extreme_in", extreme_in)
 
     def __reduce__(self):
         return type(self), (self.graph, self.order)

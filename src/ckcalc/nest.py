@@ -26,11 +26,9 @@ from .paths import (
     GroupoidPoint,
     _level_key,
     _path,
+    _s_extremal,
     _walk,
     all_finpaths,
-    check_evpath,
-    is_s_maximal,
-    is_s_minimal,
     lex_compare,
     path_range,
     path_source,
@@ -104,11 +102,9 @@ def in_alg_n(og: OrderedGraph, m: CKMono):
         return True, "equal_length_le"
     if ka < kb:
         return True, "head_precedes" if len(a) > len(b) else "head_follows"
-    if len(a) > len(b):
-        if is_s_minimal(og, FinPath(a.edges[n:])):
-            return True, "s_minimal_tail"
-    elif is_s_maximal(og, FinPath(b.edges[n:])):
-        return True, "s_maximal_tail"
+    tail, side = (a.edges[n:], 0) if len(a) > len(b) else (b.edges[n:], 1)
+    if _s_extremal(og, tail, side):
+        return True, ("s_minimal_tail", "s_maximal_tail")[side]
     return False, None
 
 
@@ -160,21 +156,12 @@ def point_in_spectrum_alg_n(og: OrderedGraph, point: GroupoidPoint):
     """Clause test for a groupoid point against the nest-algebra spectrum.
 
     Besides the strictly-below and unit clauses, an isotropy point (x,k,x)
-    belongs iff |k| is a multiple of the cycle's length and a length-|k|
-    block of the periodic tail is s-minimal (k > 0) or s-maximal (k < 0).
-    A block is a closed path, so its peers (the paths of its length into
-    its source) start at its own range, and it is the least (greatest) of
-    them iff every edge of it is the least (greatest) in-edge of its range.
-    That reads only the set of the block's edges, which every block shares
-    with the cycle, so the cycle alone decides.  The multiple rule needs no
-    test here: the cycle is primitive, so x ~k x only when its length
-    divides k, and GroupoidPoint refuses every other (x, k, x).  Returns
-    (member, clause name or None).
+    belongs iff its cycle is s-minimal (k > 0) or s-maximal (k < 0) by the
+    closed-path case of paths._s_extremal.  Returns (member, clause name or
+    None).
     """
     _check_nest_graph(og)
     x, k, y = point.x, point.k, point.y
-    check_evpath(og, x)
-    check_evpath(og, y)
     cmp = lex_compare(x, y, og)
     if cmp < 0:
         return True, "strict_below"
@@ -182,10 +169,8 @@ def point_in_spectrum_alg_n(og: OrderedGraph, point: GroupoidPoint):
         return False, None
     if k == 0:
         return True, "unit"
-    if k > 0 and is_s_minimal(og, FinPath(x.cycle)):
-        return True, "s_minimal_block"
-    if k < 0 and is_s_maximal(og, FinPath(x.cycle)):
-        return True, "s_maximal_block"
+    if _s_extremal(og, x.cycle, 0 if k > 0 else 1):
+        return True, "s_minimal_block" if k > 0 else "s_maximal_block"
     return False, None
 
 

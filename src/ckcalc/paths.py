@@ -207,38 +207,43 @@ def prepend(p: FinPath, x: EvPath) -> EvPath:
     return EvPath(p.edges + x.prefix, x.cycle)
 
 
-def _extreme_peer(og: OrderedGraph, p: FinPath, pick) -> FinPath:
-    """The least (pick=min) or greatest (pick=max) path of length |p| into
-    s(p), walked by picking one in-edge per step."""
+def _s_extremal(og: OrderedGraph, word, side) -> bool:
+    """Whether the nonempty path p with this edge word is s-minimal (side 0)
+    or s-maximal (side 1), in any edge order on a graph without sources.
+    The least (greatest) peer starts with f, the least (greatest) in-edge of
+    s(p), and takes the least (greatest) in-edge at each step.  So unless p
+    starts with f, its first edge decides against f; if it does, p is closed,
+    and is that peer iff each edge is the least (greatest) in-edge of its range."""
+    extreme, position = og._extreme_in, og._position
+    first = extreme[og._edge_by_id[word[-1]].source][side]
+    if word[0] != first:
+        return (position[word[0]] < position[first]) == (side == 0)
+    return all(extreme[og._range[e]][side] == e for e in word)
+
+
+def _s_word(og: OrderedGraph, p: FinPath):
+    """The edges of p, a nonempty path of an ordered graph without sources."""
     if p.is_empty:
         raise BadInputError("s-extremal tests need a nonempty path")
     _require_order(og, "the s-extremal tests")
     _require_no_sources(og, "the s-extremal tests")
-    v, word = path_source(og, p), []
-    for _ in p.edges:
-        e = pick(og.in_edges(v), key=lambda edge: og.pos(edge.id))
-        word.append(e.id)
-        v = e.source
-    return FinPath(word)
+    _check_chain(og, p.edges)
+    return p.edges
 
 
 def is_s_minimal(og: OrderedGraph, p: FinPath) -> bool:
     """Whether p comes first among equal-length paths into its source.
 
     The competitors are the paths of length |p| whose range is s(p): the
-    paths p can be extended by, so p passes iff it is at most the least of
-    them.  That peer is found without listing the peers.  The order is
-    decided at the first differing edge, so the least peer starts with the
-    first in-edge of s(p) in the edge order.  No vertex is a source, so
-    every choice extends to a path of full length, and the same rule picks
-    each later edge.  A graph with sources raises PreconditionError.
+    paths p can be extended by.  A graph with sources raises
+    PreconditionError, and a word that is no path of og InvalidPathError.
     """
-    return lex_compare(p, _extreme_peer(og, p, min), og) <= 0
+    return _s_extremal(og, _s_word(og, p), 0)
 
 
 def is_s_maximal(og: OrderedGraph, p: FinPath) -> bool:
     """Whether p comes last among equal-length paths into its source."""
-    return lex_compare(_extreme_peer(og, p, max), p, og) <= 0
+    return _s_extremal(og, _s_word(og, p), 1)
 
 
 def sim_k(x: EvPath, k, y: EvPath) -> bool:
@@ -289,8 +294,9 @@ def _level_key(og: OrderedGraph, word, anchor):
 def lex_compare(x, y, og: OrderedGraph) -> int:
     """-1/0/1 comparison in the edge order; paths must be the same kind.
 
-    Finite paths must have equal length; empty paths compare by the vertex
-    block order their anchors occupy.  Eventually periodic paths compare
+    The edges of both are checked against og first.  Finite
+    paths must have equal length; empty paths compare by the vertex block
+    order their anchors occupy.  Eventually periodic paths compare
     edgewise past both prefixes for p + q - gcd(p, q) more edges, p and q
     the cycle lengths: two words of periods p and q that agree that far
     agree forever (Fine and Wilf), so no later edge can differ.
@@ -298,6 +304,8 @@ def lex_compare(x, y, og: OrderedGraph) -> int:
     """
     _require_order(og, "lex compare")
     if isinstance(x, FinPath) and isinstance(y, FinPath):
+        _check_chain(og, x.edges)
+        _check_chain(og, y.edges)
         if len(x) != len(y):
             raise LengthMismatchError("lex compare needs equal lengths")
         if x.is_empty:
@@ -305,6 +313,8 @@ def lex_compare(x, y, og: OrderedGraph) -> int:
             return (a > b) - (a < b)
         pairs = zip(x.edges, y.edges)
     elif isinstance(x, EvPath) and isinstance(y, EvPath):
+        check_evpath(og, x)
+        check_evpath(og, y)
         p, q = len(x.cycle), len(y.cycle)
         bound = max(len(x.prefix), len(y.prefix)) + p + q - math.gcd(p, q)
         pairs = zip(x.truncation(bound), y.truncation(bound))

@@ -1,27 +1,18 @@
-"""Shared builders for randomized tests.
+"""Shared builders and independent references for the randomized tests.
 
-Every random object is drawn from a caller-supplied random.Random so each
-test controls its own seed and stays reproducible.  Random graphs come from
-the hypothesis strategy small_ordered_graphs or from random_graph.
-lpa_coefficients is an equality oracle that shares no code with the
-library's normal form.  The reference_* functions are the list-and-filter
-path enumerators and the full-scan nest oracle that the library's lazy walk
-(paths._walk) replaced; they share no enumeration code with it.
-reference_reconstruct_f is the sampled cocycle round trip that the
-library's check on depth-window pieces replaced.  point_in, value_at and
-convolve read an element as a function on the path groupoid, with their
-own basic-set test, so they check the algebra without its key arithmetic.
-refine_children, cyl_contains, cylinders_disjoint and swapped are the
-one-step refinement, containment, disjointness and prefix swap the tests
-read and the library no longer needs.  reference_product_pairs and
-reference_overlapping_side are the prefix-key index and the all-pairs
-overlap scan that the library's sorted prefix sweep replaced.
-reference_spectrum_clause is the nest-spectrum clause test that tried every
-rotation of an isotropy point's cycle, which the one-cycle rule replaced.
-reference_lex_compare compares two eventually periodic paths out to the
-lcm bound that the Fine and Wilf bound replaced.  reference_in_alg_n is the
-clause-by-clause nest membership test that one comparison of the heads
-replaced.
+Every random object is drawn from a caller-supplied random.Random, so each
+test controls its own seed.  Random graphs come from small_ordered_graphs
+or random_graph.  The reference_* functions are the slower designs that
+the library's code replaced: list-and-filter path enumeration, the
+full-scan nest oracle, the sampled cocycle round trip, the prefix-key
+product index, the all-pairs overlap scan, the lcm bound of lex_compare,
+the clause-by-clause nest membership, the every-rotation spectrum clause,
+and the peer listing for the s-extremal tests, which the last two read.
+lpa_coefficients decides equality in a basis that shares no code with the
+normal form.  point_in, value_at and convolve read an element as a
+function on the path groupoid with their own basic-set test.
+refine_children, cyl_contains, cylinders_disjoint and swapped are helpers
+the tests read and the library no longer needs.
 """
 
 import functools
@@ -46,8 +37,6 @@ from ckcalc.paths import (
     empty_path,
     enumerate_evpaths,
     ev_range,
-    is_s_maximal,
-    is_s_minimal,
     lex_compare,
     path_range,
     path_source,
@@ -433,6 +422,19 @@ def reference_overlapping_side(a):
     return None
 
 
+@functools.lru_cache(maxsize=4096)
+def reference_s_extremal(og, p):
+    """(is_s_minimal, is_s_maximal) of p, comparing it with every peer: the
+    equal-length words into s(p) sort as their tuples of edge positions.
+    Kept per graph and path, since the spectrum reference asks again for
+    the blocks every point with the same cycle shares."""
+    def key(q):
+        return tuple(og.pos(e) for e in q.edges)
+
+    keys = [key(q) for q in reference_continuations(og, path_source(og, p), len(p))]
+    return key(p) <= min(keys), key(p) >= max(keys)
+
+
 def reference_spectrum_clause(og, point):
     """point_in_spectrum_alg_n with every rotation of the cycle as a
     candidate block: the length-|k| words that start at each place of the
@@ -451,9 +453,9 @@ def reference_spectrum_clause(og, point):
     start = len(x.prefix)
     for t in range(len(x.cycle)):
         block = FinPath(tuple(x.edge_at(start + t + i) for i in range(1, size + 1)))
-        if k > 0 and is_s_minimal(og, block):
+        if k > 0 and reference_s_extremal(og, block)[0]:
             return True, "s_minimal_block"
-        if k < 0 and is_s_maximal(og, block):
+        if k < 0 and reference_s_extremal(og, block)[1]:
             return True, "s_maximal_block"
     return False, None
 
@@ -482,12 +484,12 @@ def reference_in_alg_n(og, m):
         return True, "head_precedes"
     if len(a) > len(b):
         tail = ckalg.path_tail_of(og, a, b)
-        if tail is not None and not tail.is_empty and is_s_minimal(og, tail):
+        if tail is not None and not tail.is_empty and reference_s_extremal(og, tail)[0]:
             return True, "s_minimal_tail"
     if len(b) >= len(a) and lex_compare(a, head(b, len(a)), og) < 0:
         return True, "head_follows"
     if len(b) > len(a):
         tail = ckalg.path_tail_of(og, b, a)
-        if tail is not None and not tail.is_empty and is_s_maximal(og, tail):
+        if tail is not None and not tail.is_empty and reference_s_extremal(og, tail)[1]:
             return True, "s_maximal_tail"
     return False, None

@@ -38,6 +38,7 @@ from ckcalc.errors import (
     BadInputError,
     InvalidGraphError,
     PreconditionError,
+    SearchFailureError,
     UnsupportedNormError,
     UnsupportedRootError,
 )
@@ -48,6 +49,7 @@ from ckcalc.scalars import ZERO, GaussianRational
 
 from conftest import build_graph
 from helpers import (
+    all_monos,
     counting_check_mono,
     cylinders_disjoint,
     make_rng,
@@ -450,6 +452,27 @@ def test_af_compression_pair_nested(o2):
     assert q_mono.alpha.word_starts_with(first.q.alpha)
     inner = mono_product(g, e, p_mono)
     assert mono_product(g, inner, e.adjoint()) == q_mono
+
+
+def test_af_compression_bridge_is_the_first_p_times_e_adjoint():
+    """The second search of af_compression_projections starts from
+    S_{beta pi w} S_{alpha pi w}*, which is the product of the first p with
+    e* wherever the first search succeeds."""
+    rng = make_rng(3)
+    checked = 0
+    for _ in range(40):
+        g = random_graph(rng, max_in=3, sources=False)
+        for e in all_monos(g, 2):
+            if len(e.alpha) != len(e.beta):
+                continue
+            try:
+                first = separating_projections(g, e, 1)
+            except SearchFailureError:
+                continue
+            bridge = mono_product(g, first.p, e.adjoint())
+            assert bridge == CKMono(first.p.alpha, first.q.alpha), e
+            checked += 1
+    assert checked > 3000
 
 
 def test_element_json_round_trip(o2):

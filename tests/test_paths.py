@@ -69,6 +69,7 @@ from helpers import (
     reference_lex_compare,
     reference_paths_with_source,
     reference_primitive_loops,
+    reference_s_extremal,
     small_ordered_graphs,
 )
 
@@ -273,6 +274,43 @@ def test_lex_compare_refuses_an_unknown_edge(o2):
         lex_compare(fpath("a"), fpath("z"), o2)
 
 
+# v and w; a has range v and source v, b range v and source w, and c range
+# w and source v; ordered a < b < c.  cc, bb and ac do not chain.
+G3 = build_graph(["v", "w"], [("a", "v", "v"), ("b", "v", "w"), ("c", "w", "v")],
+                 order=["a", "b", "c"])
+
+
+# The rule reads only positions and the ends of edges, so it must not see these.
+S_TESTS_OF_NO_PATHS = {
+    "maximal-cc": lambda: is_s_maximal(G3, fpath("c", "c")),
+    "minimal-bb": lambda: is_s_minimal(G3, fpath("b", "b")),
+    "minimal-ac": lambda: is_s_minimal(G3, fpath("a", "c")),
+}
+
+
+@pytest.mark.parametrize("case", sorted(S_TESTS_OF_NO_PATHS))
+def test_s_extremal_tests_refuse_words_that_are_no_paths(case):
+    with pytest.raises(InvalidPathError):
+        S_TESTS_OF_NO_PATHS[case]()
+
+
+# lex_compare reads only positions, so it must refuse these before it compares.
+LEX_COMPARES_OF_NO_PATHS = {
+    "z-inf": (lambda: lex_compare(ev((), ("z",)), ev((), ("z",)), G3), InvalidGraphError),
+    "z": (lambda: lex_compare(fpath("z"), fpath("z"), G3), InvalidGraphError),
+    "c-inf-first": (lambda: lex_compare(ev((), ("c",)), ev((), ("a",)), G3), InvalidPathError),
+    "c-inf-second": (lambda: lex_compare(ev((), ("a",)), ev((), ("c",)), G3), InvalidPathError),
+    "cc": (lambda: lex_compare(fpath("c", "c"), fpath("a", "a"), G3), InvalidPathError),
+}
+
+
+@pytest.mark.parametrize("case", sorted(LEX_COMPARES_OF_NO_PATHS))
+def test_lex_compare_refuses_words_that_are_no_paths(case):
+    call, error = LEX_COMPARES_OF_NO_PATHS[case]
+    with pytest.raises(error):
+        call()
+
+
 def test_lex_compare_matches_the_lcm_reference(o2, e2):
     """lex_compare, read to the Fine and Wilf bound, agrees with the lcm
     bound on every pair of paths with prefixes up to 3 and cycles up to 4
@@ -365,17 +403,13 @@ def test_s_extremal(o2, e2):
     assert is_s_minimal(e2, fpath("c"))
 
 
-def _s_extremal_by_listing(og, p):
-    """(is_s_minimal, is_s_maximal) of p, comparing it with every peer."""
-    peers = continuations(og, path_source(og, p), len(p))
-    return (all(lex_compare(p, q, og) <= 0 for q in peers),
-            all(lex_compare(q, p, og) <= 0 for q in peers))
-
-
-def test_s_extremal_walk_matches_listing_the_peers():
-    # The walk needs no adapted order, so the orders here are plain shuffles.
+def test_s_extremal_rule_matches_listing_the_peers():
+    # The rule needs no adapted order, so the orders here are plain shuffles.
+    # Each answer of each test is met in both branches of the rule: the
+    # first edge decides against the extreme in-edge of s(p), or p starts
+    # with that in-edge and is closed.
     rng = make_rng(17)
-    adapted = []
+    adapted, branches = [], Counter()
     for _ in range(60):
         vertices = ["v%d" % i for i in range(rng.randint(1, 4))]
         edges = [Edge("e%s%d" % (v[1:], i), v, rng.choice(vertices))
@@ -384,10 +418,16 @@ def test_s_extremal_walk_matches_listing_the_peers():
         rng.shuffle(order)
         og = OrderedGraph(Graph(vertices, edges), order)
         adapted.append(og.adapted)
-        for length in (1, 2, 3):
+        for length in (1, 2, 3, 4):
             for p in all_finpaths(og, length):
-                assert (is_s_minimal(og, p), is_s_maximal(og, p)) == _s_extremal_by_listing(og, p)
+                got = is_s_minimal(og, p), is_s_maximal(og, p)
+                assert got == reference_s_extremal(og, p), (og.order, p)
+                ins = og.in_edges(path_source(og, p))
+                for pick, answer in zip((min, max), got):
+                    first = pick(ins, key=lambda e: og.pos(e.id)).id
+                    branches[pick.__name__, p.edges[0] == first, answer] += 1
     assert any(adapted) and not all(adapted)
+    assert len(branches) == 8 and min(branches.values()) > 100, branches
 
 
 def test_s_extremal_refuses_sources():
