@@ -96,10 +96,6 @@ def _file(name, read, required=True, help=None):
     return _arg("--" + name, load, required=required, help=help)
 
 
-def _element_file(name):
-    return _file(name, lambda g, obj: ckalg.element_from_json_obj(g, obj))
-
-
 def _loop_word(name, help):
     return _arg("--" + name, lambda a: paths.FinPath(paths.parse_edge_word(getattr(a, name))),
                 required=True, help=help)
@@ -109,7 +105,8 @@ _GRAPH_HELP = "graph JSON file"
 GRAPH = _arg("--graph", lambda a: graphmod.graph_from_json_obj(_load_json(a.graph)),
              required=True, help=_GRAPH_HELP)
 ORDERED_GRAPH = _arg("--graph", _ordered_graph, required=True, help=_GRAPH_HELP)
-ELEMENT, LEFT, RIGHT = (_element_file(n) for n in ("element", "left", "right"))
+ELEMENT, LEFT, RIGHT = (_file(n, ckalg.element_from_json_obj)
+                        for n in ("element", "left", "right"))
 FN = _file("fn", _fn)
 _WORD_HELP = "comma-separated edge ids ('' for empty)"
 MONO = Input("mono", (

@@ -34,7 +34,6 @@ from .paths import (
     _agree_from,
     _walk,
     check_finpath,
-    empty_path,
     path_range,
     path_source,
 )
@@ -224,22 +223,20 @@ class ObstructionWitness(_Record):
 
 
 def _bfs_connector(g, start, goal) -> FinPath:
-    """Shortest path with range start and source goal, in edge-list order."""
-    if start == goal:
-        return empty_path(start)
+    """Shortest path with range start and source goal != start, in edge-list order."""
     frontier = [(start, ())]
     seen = {start}
     while frontier:
         nxt = []
         for v, word in frontier:
-            for e in g.in_edges(v):
-                if e.source in seen:
+            for eid, source in g._in_ids[v]:
+                if source in seen:
                     continue
-                w2 = word + (e.id,)
-                if e.source == goal:
+                w2 = word + (eid,)
+                if source == goal:
                     return FinPath(w2)
-                seen.add(e.source)
-                nxt.append((e.source, w2))
+                seen.add(source)
+                nxt.append((source, w2))
         frontier = nxt
     raise NotEqualizableError("no path from %r to %r" % (start, goal))
 

@@ -34,11 +34,13 @@ class Graph(_Immutable):
     """Immutable vertex/edge structure with the derived lookup maps.
 
     edge_by_id is a read-only view of the private map _edge_by_id, which
-    the inner loops read.  Copies and pickles rebuild the graph from its
+    the inner loops read, as they read the one in-edge table _in_ids;
+    in_edges and out_edges build Edge tuples from them per call and refuse
+    unknown vertices.  Copies and pickles rebuild the graph from its
     vertices and edges."""
 
     __slots__ = ("vertices", "edges", "vertex_set", "sources", "_edge_by_id",
-                 "_in", "_out", "_in_ids", "_range", "_max_loop_length")
+                 "_in_ids", "_range", "_max_loop_length")
 
     def __init__(self, vertices, edges):
         try:
@@ -54,7 +56,6 @@ class Graph(_Immutable):
             vset.add(v)
         by_id = {}
         ins = {v: [] for v in vertices}
-        outs = {v: [] for v in vertices}
         for e in edges:
             if not isinstance(e, Edge):
                 raise InvalidGraphError("edges must be Edge records, not %r" % (e,))
@@ -66,19 +67,15 @@ class Graph(_Immutable):
             if e.range not in vset or e.source not in vset:
                 raise InvalidGraphError("edge %r touches unknown vertex" % e.id)
             by_id[e.id] = e
-            ins[e.range].append(e)
-            outs[e.source].append(e)
+            ins[e.range].append((e.id, e.source))
         put = object.__setattr__
         put(self, "vertices", vertices)
         put(self, "edges", edges)
         put(self, "vertex_set", frozenset(vset))
         put(self, "_edge_by_id", by_id)
-        # Tuples built once: the path walks ask for them at every step.
-        put(self, "_in", {v: tuple(es) for v, es in ins.items()})
-        put(self, "_out", {v: tuple(es) for v, es in outs.items()})
         # Plain-id tables for the inner loops, which read only checked ids:
         # (in-edge id, its source) per vertex, and edge id -> range.
-        put(self, "_in_ids", {v: tuple((e.id, e.source) for e in es) for v, es in ins.items()})
+        put(self, "_in_ids", {v: tuple(es) for v, es in ins.items()})
         put(self, "_range", {e.id: e.range for e in edges})
         # Vertices that are the range of no edge, which the algebra excludes.
         put(self, "sources", tuple(sorted(v for v in vertices if not ins[v])))
@@ -101,12 +98,20 @@ class Graph(_Immutable):
             object.__setattr__(graph, "_max_loop_length", max_simple_loop_length(self))
         return graph._max_loop_length
 
+    def _vertex(self, v):
+        """v itself if it is a vertex of the graph; InvalidGraphError if not."""
+        if isinstance(v, str) and v in self.vertex_set:  # vertex ids are strings
+            return v
+        raise InvalidGraphError("unknown vertex id %r" % (v,))
+
     def in_edges(self, v):
         """Edges whose range is v: the edges a path at v can start with."""
-        return self._in[v]
+        return tuple(self._edge_by_id[eid] for eid, _ in self._in_ids[self._vertex(v)])
 
     def out_edges(self, v):
-        return self._out[v]
+        """Edges whose source is v, in edge-list order."""
+        v = self._vertex(v)
+        return tuple(e for e in self.edges if e.source == v)
 
     def edge(self, edge_id) -> Edge:
         try:
@@ -164,7 +169,7 @@ class OrderedGraph(Graph):
         # sort after all others, by id.
         bad, vertex_pos, extreme_in = [], {u: (1, j) for j, u in enumerate(self.sources)}, {}
         for v in sorted(self.vertices):
-            positions = sorted(position[e.id] for e in self._in[v])
+            positions = sorted(position[eid] for eid, _ in self._in_ids[v])
             if positions:
                 vertex_pos[v] = (0, positions[0])
                 extreme_in[v] = (order[positions[0]], order[positions[-1]])  # least, greatest
@@ -218,7 +223,8 @@ def _require_no_sources(graph: Graph, layer):
 
 def validate(graph: Graph) -> ValidationReport:
     """Report vertices violating no-sources and isolated vertices."""
-    isolated = tuple(v for v in graph.sources if not graph.out_edges(v))
+    has_out = {e.source for e in graph.edges}
+    isolated = tuple(v for v in graph.sources if v not in has_out)
     return ValidationReport(
         ok=not graph.sources,
         no_source_violations=graph.sources,

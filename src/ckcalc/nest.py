@@ -61,12 +61,11 @@ def _atom_place(og: OrderedGraph, atom: FinPath):
     such edge e starts as many atoms as there are paths of the remaining
     length into s(e).  The word is read from its end, so one table of
     path counts, lengthened by one edge per step, serves every step."""
-    place = 1
+    place, ins, pos = 1, og._in_ids, og._position
     count = dict.fromkeys(og.vertices, 1)  # count[u]: paths into u as long as the rest
     for eid in reversed(atom.edges):
-        place += sum(count[e.source] for e in og.in_edges(og.range_of(eid))
-                     if og.pos(e.id) < og.pos(eid))
-        count = {u: sum(count[e.source] for e in og.in_edges(u)) for u in og.vertices}
+        place += sum(count[s] for f, s in ins[og._range[eid]] if pos[f] < pos[eid])
+        count = {u: sum(count[s] for _, s in ins[u]) for u in og.vertices}
     block = og.vertex_pos(path_range(og, atom))
     return place + sum(n for u, n in count.items() if og.vertex_pos(u) < block)
 

@@ -19,7 +19,6 @@ import math
 from .errors import (
     BadInputError,
     ComposeMismatchError,
-    InvalidGraphError,
     InvalidPathError,
     InvalidPointError,
     LengthMismatchError,
@@ -350,8 +349,7 @@ def _walk(g, v, length):
 def continuations(g, v, length):
     """All paths of the given length whose range is v, in edge-list order."""
     _int_arg("path length", length, nonnegative=True)  # else _walk never stops
-    if not isinstance(v, str) or v not in g.vertex_set:  # vertex ids are strings
-        raise InvalidGraphError("unknown vertex id %r" % (v,))
+    v = g._vertex(v)
     return [_path(w, v) for w in _walk(g, v, length)]
 
 

@@ -89,6 +89,8 @@ def test_element_refuses_paths_with_two_sources(bridge):
 def test_element_refuses_an_unknown_edge(bridge):
     with pytest.raises(InvalidGraphError, match="zz"):
         element(bridge, [(CKMono(fpath("a"), fpath("zz")), 1)])
+    with pytest.raises(BadInputError, match="unknown vertex 'zz'"):
+        vertex_projection(bridge, "zz")
 
 
 def test_rebuilds_from_checked_terms_check_nothing(o2, monkeypatch):
@@ -285,6 +287,9 @@ def test_restricted_norm_examples(o2):
     assert restricted_norm(ab.scale(Fraction(1, 2)) + ba) == Fraction(1)
     with pytest.raises(UnsupportedNormError):
         restricted_norm(s(o2, "a") + s(o2, "b"))
+    r_a = mono_element(o2, CKMono(fpath("a"), fpath("a")))
+    with pytest.raises(UnsupportedNormError, match="norm is not rational"):  # |1 + i| = sqrt 2
+        restricted_norm(r_a.scale(GaussianRational(1, 1)))
     assert restricted_norm(zero(o2)) == Fraction(0)
 
 

@@ -200,6 +200,11 @@ PINNED = [
         '"level": 1, "row": {"edges": ["b"]}}}'),
     pin("nest-oracle-member", "nest-oracle --graph o2_ordered.json --alpha a,a --beta a",
         '{"member": true, "ok": true, "witness": null}'),
+    # S_f2 on c2 carries p_1 to p_2, and p_1 < p_2 at level 0 as f1 < f2: the
+    # witness's row and column are vertex projections, empty paths with anchors.
+    pin("nest-oracle-level-0", "nest-oracle --graph c2_ordered.json --alpha f2 --beta=",
+        '{"member": false, "ok": true, "witness": {"col": {"anchor": "1", "edges": []}, '
+        '"cut": 1, "level": 0, "row": {"anchor": "2", "edges": []}}}'),
     # Errors are one line on stdout with exit status 1, not a traceback.
     pin("gauge-root-3", "gauge --graph o2.json --element s_a.json --root 3 --power 1",
         '{"error": {"code": "unsupported_root", "message": "rotation order 3 has no exact '
@@ -209,6 +214,11 @@ PINNED = [
         "nest-oracle --graph o2_ordered.json --alpha a --beta b --K -1",
         '{"error": {"code": "bad_input", "message": "level bound must be a nonnegative integer, '
         'not -1"}, "ok": false}', status=1),
+    pin("bimodule-member-gens-not-a-list",
+        "bimodule-member --graph o2.json --element s_a.json --gens gens.json",
+        '{"error": {"code": "bad_input", "message": "--gens file must hold a JSON list of '
+        'elements"}, "ok": false}',
+        {"s_a.json": S_A, "gens.json": {}}, status=1),
 ]
 
 

@@ -74,6 +74,8 @@ def test_fn_construction_errors():
         LocallyConstantFn(2, {("a",): 1})
     with pytest.raises(BadInputError):
         LocallyConstantFn(0, {})
+    with pytest.raises(BadInputError, match="table must map words of edge ids to values, not 5"):
+        LocallyConstantFn(1, 5)
     for depth in ("1", 1.5, 2.0):
         with pytest.raises(BadInputError, match="integer"):
             LocallyConstantFn(depth, {})

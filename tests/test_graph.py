@@ -59,6 +59,9 @@ def test_duplicate_ids_rejected():
     for eid in (1, "", ("a",), ["a"], None):
         with pytest.raises(InvalidGraphError, match="edge ids must be nonempty strings"):
             Graph(["v"], [Edge("b", "v", "v"), Edge(eid, "v", "v")])
+    for vid in (1, ""):
+        with pytest.raises(InvalidGraphError, match="vertex ids must be nonempty strings"):
+            Graph([vid], [])
 
 
 @pytest.mark.parametrize("build", [
@@ -254,12 +257,17 @@ def test_pos_refuses_an_unknown_edge(e2):
         e2.pos("z")
 
 
-def test_edge_tuples_are_built_once(e2):
-    for v in e2.vertices:
-        assert e2.in_edges(v) is e2.in_edges(v)
-        assert e2.out_edges(v) is e2.out_edges(v)
-        assert e2.in_edges(v) == tuple(e for e in e2.edges if e.range == v)
-        assert e2.out_edges(v) == tuple(e for e in e2.edges if e.source == v)
+def test_edge_views_are_the_edge_list_filters(e2):
+    # The views are built per call from the one in-edge table; seeded random
+    # graphs with sources, plain and ordered, give vertices without in-edges.
+    rng = make_rng(32)
+    graphs = [e2] + [random_graph(rng) for _ in range(40)]
+    graphs += [adapted_order(rng, g) for g in graphs[1:]]
+    assert any(g.sources for g in graphs)
+    for g in graphs:
+        for v in g.vertices:
+            assert g.in_edges(v) == tuple(e for e in g.edges if e.range == v)
+            assert g.out_edges(v) == tuple(e for e in g.edges if e.source == v)
 
 
 def field_names(g):

@@ -249,6 +249,8 @@ def test_lex_compare_finpaths(o2, e2):
     assert lex_compare(fpath("a", "b"), fpath("a", "b"), o2) == 0
     with pytest.raises(LengthMismatchError):
         lex_compare(fpath("a"), fpath("a", "b"), o2)
+    with pytest.raises(BadInputError, match="lex compare needs two paths of the same kind"):
+        lex_compare(fpath("a"), ev((), ("a",)), o2)
     assert lex_compare(empty_path("u"), empty_path("v"), e2) == -1
     assert lex_compare(empty_path("u"), empty_path("u"), e2) == 0
 
@@ -355,7 +357,9 @@ def test_unknown_vertex_ids_are_refused(o2):
     for call in (lambda: o2.vertex_pos("zz"), lambda: o2.vertex_pos(["v"]),
                  lambda: lex_compare(empty_path("zz"), empty_path("v"), o2),
                  lambda: continuations(o2, "zz", 2), lambda: continuations(o2, "zz", 0),
-                 lambda: continuations(o2.graph, ["v"], 1)):
+                 lambda: continuations(o2.graph, ["v"], 1),
+                 lambda: o2.in_edges("zz"), lambda: o2.in_edges(["v"]),
+                 lambda: o2.out_edges("zz"), lambda: o2.graph.out_edges(["v"])):
         with pytest.raises(InvalidGraphError, match="unknown vertex id"):
             call()
     assert continuations(o2.graph, "v", 0) == [empty_path("v")]
@@ -492,6 +496,8 @@ def refusal(name, graph, call, error):
             InvalidGraphError),
     refusal("cylinder-unknown-alpha", "o2", lambda g: in_cylinder(g, A_INF, fpath("z")),
             InvalidGraphError),
+    refusal("cylinder-unhashable-alpha", "o2",
+            lambda g: in_cylinder(g, A_INF, FinPath((["a"],))), InvalidGraphError),
     refusal("cylinder-unknown-anchor", "o2", lambda g: in_cylinder(g, A_INF, empty_path("w")),
             InvalidPathError),
     refusal("cylinder-broken-alpha", "e2",
