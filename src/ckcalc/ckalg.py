@@ -514,8 +514,6 @@ def mono_element(g, m: CKMono, coeff=1) -> AlgElement:
 
 
 def vertex_projection(g, v) -> AlgElement:
-    if v not in g.vertex_set:
-        raise BadInputError("unknown vertex %r" % (v,))
     return AlgElement(g, [(CKMono(empty_path(v), empty_path(v)), as_gaussian(1))])
 
 

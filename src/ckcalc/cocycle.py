@@ -54,7 +54,7 @@ class LocallyConstantFn(_Immutable):
                 if len(word) != depth:
                     raise BadInputError("table key %r does not have length %d" % (word, depth))
                 clean[word] = parse_rational(value)
-        except TypeError:  # a table that is no map of words, or an unhashable edge id
+        except (TypeError, ValueError):  # no map of words, or an unhashable edge id
             raise BadInputError("table must map words of edge ids to values, not %r"
                                 % (table,)) from None
         if depth == 0 and () not in clean:
@@ -72,7 +72,9 @@ class LocallyConstantFn(_Immutable):
     @classmethod
     def from_weights(cls, weights) -> "LocallyConstantFn":
         """Depth-1 function from an edge-id -> value map."""
-        return cls(1, {(e,): v for e, v in dict(weights).items()})
+        if not isinstance(weights, dict):
+            raise BadInputError("weights must map edge ids to values, not %r" % (weights,))
+        return cls(1, {(e,): v for e, v in weights.items()})
 
     def value_at(self, word) -> Fraction:
         word = tuple(word)
@@ -205,7 +207,7 @@ def acyclic_weights(edge_ids):
     two prefixes differ as edge multisets.  That needs no check: the
     weights after 3^-(i+1) sum to less than 3^-(i+1) / 2.
     """
-    edge_ids = list(edge_ids)
+    edge_ids = strings_from_json_obj(edge_ids, "edge ids")
     if len(set(edge_ids)) != len(edge_ids):
         raise BadInputError("edge ids must be distinct")
     if not edge_ids:

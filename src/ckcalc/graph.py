@@ -35,9 +35,11 @@ class Graph(_Immutable):
 
     edge_by_id is a read-only view of the private map _edge_by_id, which
     the inner loops read, as they read the one in-edge table _in_ids;
-    in_edges and out_edges build Edge tuples from them per call and refuse
-    unknown vertices.  Copies and pickles rebuild the graph from its
-    vertices and edges."""
+    in_edges and out_edges build Edge tuples from them per call.  _vertex
+    is the one rule for vertex ids, read by the edge endpoints here and by
+    every entry point given a vertex or an empty path's anchor: an unknown
+    or unhashable id raises InvalidGraphError.  Copies and pickles rebuild
+    the graph from its vertices and edges."""
 
     __slots__ = ("vertices", "edges", "vertex_set", "sources", "_edge_by_id",
                  "_in_ids", "_range", "_max_loop_length")
@@ -54,6 +56,8 @@ class Graph(_Immutable):
             if v in vset:
                 raise InvalidGraphError("duplicate vertex id %r" % v)
             vset.add(v)
+        put = object.__setattr__
+        put(self, "vertex_set", frozenset(vset))  # read by _vertex from here on
         by_id = {}
         ins = {v: [] for v in vertices}
         for e in edges:
@@ -64,14 +68,10 @@ class Graph(_Immutable):
                 raise InvalidGraphError("edge ids must be nonempty strings, not %r" % (e.id,))
             if e.id in by_id:
                 raise InvalidGraphError("duplicate edge id %r" % e.id)
-            if e.range not in vset or e.source not in vset:
-                raise InvalidGraphError("edge %r touches unknown vertex" % e.id)
             by_id[e.id] = e
-            ins[e.range].append((e.id, e.source))
-        put = object.__setattr__
+            ins[self._vertex(e.range)].append((e.id, self._vertex(e.source)))
         put(self, "vertices", vertices)
         put(self, "edges", edges)
-        put(self, "vertex_set", frozenset(vset))
         put(self, "_edge_by_id", by_id)
         # Plain-id tables for the inner loops, which read only checked ids:
         # (in-edge id, its source) per vertex, and edge id -> range.
@@ -202,10 +202,7 @@ class OrderedGraph(Graph):
         Vertices that are the range of no edge (excluded by the no-sources
         assumption) sort after all others, by id.
         """
-        try:
-            return self._vertex_pos[v]
-        except (KeyError, TypeError):  # TypeError: an unhashable id
-            raise InvalidGraphError("unknown vertex id %r" % (v,)) from None
+        return self._vertex_pos[self._vertex(v)]
 
 
 def _require_order(graph: Graph, layer):

@@ -58,7 +58,7 @@ class FinPath(_Record):
 
     def __repr__(self):
         if self.is_empty:
-            return "FinPath(()@%s)" % self.anchor
+            return "FinPath(()@%s)" % (self.anchor,)
         return "FinPath(%s)" % ("".join(self.edges) if all(
             len(e) == 1 for e in self.edges) else ",".join(self.edges))
 
@@ -116,10 +116,10 @@ def _check_chain(g, word):
 
 
 def check_finpath(g, p: FinPath):
-    """Raise InvalidPathError unless p is a path of g."""
+    """Raise unless p is a path of g: an unknown or unhashable anchor or
+    edge id raises InvalidGraphError, a break in the chain InvalidPathError."""
     if p.is_empty:
-        if p.anchor not in g.vertex_set:
-            raise InvalidPathError("anchor %r is not a vertex" % p.anchor)
+        g._vertex(p.anchor)
     _check_chain(g, p.edges)
 
 
@@ -427,6 +427,8 @@ def evpath_from_json_obj(obj) -> EvPath:
 
 def parse_edge_word(text) -> tuple:
     """Parse a comma-separated edge id list; empty string means no edges."""
+    if not isinstance(text, str):
+        raise BadInputError("an edge word must be a string, not %r" % (text,))
     text = text.strip()
     if not text:
         return ()

@@ -89,7 +89,7 @@ def test_element_refuses_paths_with_two_sources(bridge):
 def test_element_refuses_an_unknown_edge(bridge):
     with pytest.raises(InvalidGraphError, match="zz"):
         element(bridge, [(CKMono(fpath("a"), fpath("zz")), 1)])
-    with pytest.raises(BadInputError, match="unknown vertex 'zz'"):
+    with pytest.raises(InvalidGraphError, match="unknown vertex id 'zz'"):
         vertex_projection(bridge, "zz")
 
 

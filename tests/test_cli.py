@@ -214,6 +214,11 @@ PINNED = [
         "nest-oracle --graph o2_ordered.json --alpha a --beta b --K -1",
         '{"error": {"code": "bad_input", "message": "level bound must be a nonnegative integer, '
         'not -1"}, "ok": false}', status=1),
+    # An anchor that is no vertex of the graph is refused by the graph.
+    pin("separating-proj-unknown-anchor",
+        "separating-proj --graph o2.json --alpha= --beta= --anchor zz --level 1",
+        '{"error": {"code": "invalid_graph", "message": "unknown vertex id \'zz\'"}, '
+        '"ok": false}', status=1),
     pin("bimodule-member-gens-not-a-list",
         "bimodule-member --graph o2.json --element s_a.json --gens gens.json",
         '{"error": {"code": "bad_input", "message": "--gens file must hold a JSON list of '
@@ -397,7 +402,7 @@ def test_anchor_must_be_the_source_of_the_words(ws, capsys):
     ("", "", None, "bad_input"),
     ("a", "b", "zzz", "bad_input"),
     ("z", "", None, "invalid_graph"),
-    ("", "", "w", "invalid_path"),
+    ("", "", "w", "invalid_graph"),
 ])
 def test_flags_and_files_read_a_monomial_by_one_rule(ws, capsys, monkeypatch, alpha, beta,
                                                      anchor, want):

@@ -42,6 +42,7 @@ from ckcalc.paths import (
     fpath,
     inverse,
     join_paths,
+    parse_edge_word,
     path_source,
     prepend,
     shift_n,
@@ -291,6 +292,26 @@ def test_acyclic_weights_values():
         acyclic_weights(["e", "e"])
     with pytest.raises(BadInputError):
         acyclic_weights([])
+
+
+@pytest.mark.parametrize("call, message", [
+    pytest.param(lambda: acyclic_weights(5), "edge ids must be a list of strings",
+                 id="weights-int"),
+    pytest.param(lambda: acyclic_weights([["a"]]), "edge ids must be a list of strings",
+                 id="weights-unhashable-id"),
+    pytest.param(lambda: parse_edge_word(5), "an edge word must be a string, not 5",
+                 id="edge-word-int"),
+    pytest.param(lambda: LocallyConstantFn.from_weights(5), "weights must map edge ids",
+                 id="from-weights-int"),
+    pytest.param(lambda: LocallyConstantFn.from_weights([["a"]]), "weights must map edge ids",
+                 id="from-weights-no-pairs"),
+    pytest.param(lambda: LocallyConstantFn(1, "ab"), "table must map words",
+                 id="table-no-pairs"),
+])
+def test_exported_helpers_refuse_bad_input(call, message):
+    """A value of the wrong type gives BadInputError, not a bare Python error."""
+    with pytest.raises(BadInputError, match=message):
+        call()
 
 
 def test_acyclic_weights_dominate():

@@ -82,6 +82,8 @@ def test_finpath_construction():
     assert len(p) == 2 and not p.is_empty
     q = empty_path("v")
     assert q.is_empty and q.anchor == "v"
+    assert repr(q) == "FinPath(()@v)"
+    assert repr(empty_path(("v", "w"))) == "FinPath(()@('v', 'w'))"  # no vertex, yet a repr
     with pytest.raises(BadInputError):
         FinPath(("a",), "v")
     with pytest.raises(BadInputError):
@@ -90,7 +92,7 @@ def test_finpath_construction():
 
 def test_check_finpath(o2, e2):
     check_finpath(o2, fpath("a", "b"))
-    with pytest.raises(InvalidPathError):
+    with pytest.raises(InvalidGraphError, match="unknown vertex id 'nope'"):
         check_finpath(o2, empty_path("nope"))
     # c then h does not chain in e2: source(c)=v but range(h)=u.
     with pytest.raises(InvalidPathError):
@@ -351,18 +353,49 @@ def test_lex_compare_reads_long_coprime_cycles_in_bounded_memory():
     assert (run.returncode, run.stderr, run.stdout) == (0, "", "-1 1 0\n")
 
 
-def test_unknown_vertex_ids_are_refused(o2):
-    # Each was a bare KeyError or TypeError, and a length-0 continuation
-    # of an unknown vertex was an empty path at it.
-    for call in (lambda: o2.vertex_pos("zz"), lambda: o2.vertex_pos(["v"]),
-                 lambda: lex_compare(empty_path("zz"), empty_path("v"), o2),
-                 lambda: continuations(o2, "zz", 2), lambda: continuations(o2, "zz", 0),
-                 lambda: continuations(o2.graph, ["v"], 1),
-                 lambda: o2.in_edges("zz"), lambda: o2.in_edges(["v"]),
-                 lambda: o2.out_edges("zz"), lambda: o2.graph.out_edges(["v"])):
+def _at(v):
+    """The monomial p_v, both of its paths empty at v."""
+    return ckcalc.CKMono(empty_path(v), empty_path(v))
+
+
+# Every public entry point that takes a vertex id, or an empty path whose
+# anchor is one, as a call on ordered O2 with the id v.
+VERTEX_ID_CALLS = {
+    "vertex_pos": lambda g, v: g.vertex_pos(v),
+    "continuations": lambda g, v: continuations(g, v, 1),
+    "continuations-0": lambda g, v: continuations(g.graph, v, 0),
+    "in_edges": lambda g, v: g.in_edges(v),
+    "out_edges": lambda g, v: g.graph.out_edges(v),
+    "edge-range": lambda g, v: Graph(["v"], [Edge("a", v, "v")]),
+    "edge-source": lambda g, v: Graph(["v"], [Edge("a", "v", v)]),
+    "vertex_projection": lambda g, v: ckcalc.vertex_projection(g, v),
+    "check_finpath": lambda g, v: check_finpath(g, empty_path(v)),
+    "lex_compare": lambda g, v: lex_compare(empty_path(v), empty_path("v"), g),
+    "AlgElement": lambda g, v: ckcalc.AlgElement(g, [(_at(v), 1)]),
+    "SpectrumSet": lambda g, v: ckcalc.SpectrumSet(g, [_at(v)]),
+    "range_projection": lambda g, v: ckcalc.range_projection(g, empty_path(v)),
+    "path_isometry": lambda g, v: ckcalc.path_isometry(g, empty_path(v)),
+    "in_cylinder": lambda g, v: in_cylinder(g, ev((), ("a",)), empty_path(v)),
+    "point_in_Z": lambda g, v: point_in_Z(
+        g, GroupoidPoint(ev((), ("a",)), 0, ev((), ("a",))), empty_path(v), empty_path(v)),
+    "in_alg_n": lambda g, v: ckcalc.in_alg_n(g, _at(v)),
+    "in_alg_n_oracle": lambda g, v: ckcalc.in_alg_n_oracle(g, _at(v)),
+    "ck_in_analytic": lambda g, v: ckcalc.ck_in_analytic(
+        g, ckcalc.LocallyConstantFn.constant(1), _at(v)),
+    "separating_projections": lambda g, v: ckcalc.separating_projections(g, _at(v), 1),
+    "mono_from_words": lambda g, v: ckcalc.ckalg.mono_from_words(g, (), (), v),
+}
+
+
+@pytest.mark.parametrize("call", VERTEX_ID_CALLS.values(), ids=VERTEX_ID_CALLS.keys())
+def test_unknown_vertex_ids_are_refused(o2, call):
+    """Graph._vertex decides every vertex id: an unknown one, an unhashable
+    one and a tuple (which a %-formatted message would spread as its
+    arguments) each raise InvalidGraphError."""
+    for v in ("zz", ["v"], ("v", "w")):
         with pytest.raises(InvalidGraphError, match="unknown vertex id"):
-            call()
-    assert continuations(o2.graph, "v", 0) == [empty_path("v")]
+            call(o2, v)
+    call(o2, "v")
 
 
 def test_continuations_order(o2, e2):
@@ -499,7 +532,7 @@ def refusal(name, graph, call, error):
     refusal("cylinder-unhashable-alpha", "o2",
             lambda g: in_cylinder(g, A_INF, FinPath((["a"],))), InvalidGraphError),
     refusal("cylinder-unknown-anchor", "o2", lambda g: in_cylinder(g, A_INF, empty_path("w")),
-            InvalidPathError),
+            InvalidGraphError),
     refusal("cylinder-broken-alpha", "e2",
             lambda g: in_cylinder(g, ev((), ("h",)), fpath("h", "d")), InvalidPathError),
     refusal("cylinder-broken-path", "e2", lambda g: in_cylinder(g, CH_INF, fpath("c")),
